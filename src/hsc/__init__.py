@@ -45,6 +45,7 @@ from .keys import (
     SystemParams,
     clc_extract_partial,
     clc_finalize,
+    clc_finalize_random,
     clc_keygen,
     pki_keygen,
     setup,
@@ -68,7 +69,7 @@ __all__ = [
     "HashConfig", "HashOracles", "ScriptedOracle",
     "ClcKeyPair", "ClcPartialKey", "ClcPublicKey", "MasterKey",
     "PkiKeyPair", "SystemParams",
-    "clc_extract_partial", "clc_finalize", "clc_keygen",
+    "clc_extract_partial", "clc_finalize", "clc_finalize_random", "clc_keygen",
     "pki_keygen", "setup", "verify_partial_key",
     "Ciphertext", "Direction", "RejectedCiphertext",
     "cphs_signcrypt", "cphs_unsigncrypt",

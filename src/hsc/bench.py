@@ -24,7 +24,7 @@ from .group import OpCounter
 from .keys import (
     SystemParams,
     clc_extract_partial,
-    clc_finalize,
+    clc_finalize_random,
     pki_keygen,
     setup,
 )
@@ -170,13 +170,13 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
                             hash_config=params.hash)
     sender_pki = pki_keygen(bparams, rng)
     partial = clc_extract_partial(bparams, master, _BENCH_IDENTITY, rng)
-    clc_key = clc_finalize(bparams, _BENCH_IDENTITY, partial, group.random_scalar(rng))
+    clc_key = clc_finalize_random(bparams, _BENCH_IDENTITY, partial, rng)
 
     def keygen_once():
         p2, m2 = setup(group, n=params.n, l=params.l, rng=rng, hash_config=params.hash)
         pki_keygen(p2, rng)
         pt = clc_extract_partial(p2, m2, _BENCH_IDENTITY, rng)
-        clc_finalize(p2, _BENCH_IDENTITY, pt, group.random_scalar(rng))
+        clc_finalize_random(p2, _BENCH_IDENTITY, pt, rng)
 
     algo_msgs = [rng.getrandbits(8 * msg_len).to_bytes(msg_len, "big")
                  for _ in range(algo_iterations)]

@@ -31,15 +31,8 @@ from pathlib import Path
 
 from . import bench, codec, keys, netdemo
 from .group import DecodeError
-from .keys import DegenerateKeyError, PartialKeyError
-from .signcryption import (
-    MessageSizeError,
-    RejectedCiphertext,
-    cphs_signcrypt,
-    cphs_unsigncrypt,
-    pchs_signcrypt,
-    pchs_unsigncrypt,
-)
+from .keys import ClcKeyPair, DegenerateKeyError, PartialKeyError, PkiKeyPair
+from .signcryption import MessageSizeError, RejectedCiphertext
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -71,6 +64,15 @@ def _load_params(path: str) -> keys.SystemParams:
 
 def _identity(value: str) -> bytes:
     return value.encode("utf-8")
+
+
+def _load_peer(args, params: keys.SystemParams, key_class: type):
+    """The peer's public export; --id replaces a certificateless peer's
+    identity and is ignored for a PKI peer."""
+    peer = codec.decode_public(_read(args.peer), params, key_class)
+    if args.id is not None and key_class is ClcKeyPair:
+        peer = (_identity(args.id), peer[1])
+    return peer
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -110,14 +112,7 @@ def _cmd_clc_finalize(args) -> int:
         raise PartialKeyError(
             f"partial key was issued for {identity!r}, not {args.id!r}"
         )
-    rng = _rng()
-    while True:
-        try:
-            key = keys.clc_finalize(params, identity, partial,
-                                    params.group.random_scalar(rng))
-            break
-        except DegenerateKeyError:
-            continue
+    key = keys.clc_finalize_random(params, identity, partial, _rng())
     _write(args.out, codec.encode_clc_keypair(params, key), args.force)
     print(f"clc key pair for {identity!r} -> {args.out}")
     return EXIT_OK
@@ -127,15 +122,12 @@ def _cmd_export_pub(args) -> int:
     params = _load_params(args.params)
     data = _read(args.key)
     kind = codec.file_kind(data)
-    if kind == codec.FileKind.PKI_KEY:
-        key = codec.decode_pki_keypair(data, params)
-        out = codec.encode_pki_public(params, key.PK_p)
-    elif kind == codec.FileKind.CLC_KEY:
-        clc = codec.decode_clc_keypair(data, params)
-        out = codec.encode_clc_public(params, clc.identity, clc.public)
-    else:
+    key_class = {codec.FileKind.PKI_KEY: PkiKeyPair,
+                 codec.FileKind.CLC_KEY: ClcKeyPair}.get(kind)
+    if key_class is None:
         raise codec.HeaderError(f"cannot export a public key from a {kind.name} file")
-    _write(args.out, out, args.force)
+    key = codec.decode_keypair(data, params, key_class)
+    _write(args.out, codec.encode_public(params, key), args.force)
     print(f"public export -> {args.out}")
     return EXIT_OK
 
@@ -143,16 +135,10 @@ def _cmd_export_pub(args) -> int:
 def _cmd_signcrypt(args) -> int:
     params = _load_params(args.params)
     message = _read(args.infile)
-    if args.mode == "pchs":
-        sender = codec.decode_pki_keypair(_read(args.key), params)
-        peer_id, peer_pub = codec.decode_clc_public(_read(args.peer), params)
-        if args.id is not None:
-            peer_id = _identity(args.id)
-        sigma = pchs_signcrypt(params, sender, peer_id, peer_pub, message, _rng())
-    else:
-        sender = codec.decode_clc_keypair(_read(args.key), params)
-        peer_pk = codec.decode_pki_public(_read(args.peer), params)
-        sigma = cphs_signcrypt(params, sender, peer_pk, message, _rng())
+    spec = netdemo.DIRECTIONS[args.mode]
+    sender = codec.decode_keypair(_read(args.key), params, spec.sender)
+    peer = _load_peer(args, params, spec.receiver)
+    sigma = spec.signcrypt(params, sender, peer, message, _rng())
     _write(args.out, codec.encode_ciphertext(sigma), args.force)
     print(f"{args.mode} ciphertext ({len(message)} byte message) -> {args.out}")
     return EXIT_OK
@@ -161,16 +147,10 @@ def _cmd_signcrypt(args) -> int:
 def _cmd_unsigncrypt(args) -> int:
     params = _load_params(args.params)
     sigma = codec.decode_ciphertext(_read(args.infile), params)
-    if args.mode == "pchs":
-        receiver = codec.decode_clc_keypair(_read(args.key), params)
-        sender_pk = codec.decode_pki_public(_read(args.peer), params)
-        message = pchs_unsigncrypt(params, receiver, sender_pk, sigma)
-    else:
-        receiver = codec.decode_pki_keypair(_read(args.key), params)
-        peer_id, peer_pub = codec.decode_clc_public(_read(args.peer), params)
-        if args.id is not None:
-            peer_id = _identity(args.id)
-        message = cphs_unsigncrypt(params, receiver, peer_id, peer_pub, sigma)
+    spec = netdemo.DIRECTIONS[args.mode]
+    receiver = codec.decode_keypair(_read(args.key), params, spec.receiver)
+    peer = _load_peer(args, params, spec.sender)
+    message = spec.unsigncrypt(params, receiver, peer, sigma)
     _write(args.out, message, args.force)
     print(f"ACCEPT {len(message)} bytes -> {args.out}")
     return EXIT_OK
@@ -188,9 +168,8 @@ def _session_exit(session: netdemo.DemoSession) -> int:
 
 def _cmd_serve(args) -> int:
     params = _load_params(args.params)
-    data = _read(args.key)
-    key = (codec.decode_clc_keypair(data, params) if args.mode == "pchs"
-           else codec.decode_pki_keypair(data, params))
+    key = codec.decode_keypair(_read(args.key), params,
+                               netdemo.DIRECTIONS[args.mode].receiver)
     session = netdemo.run_server(params, key, mode=args.mode,
                                  host=args.host, port=args.port, rng=_rng())
     if session.plaintext is not None:
@@ -200,9 +179,8 @@ def _cmd_serve(args) -> int:
 
 def _cmd_client(args) -> int:
     params = _load_params(args.params)
-    data = _read(args.key)
-    key = (codec.decode_pki_keypair(data, params) if args.mode == "pchs"
-           else codec.decode_clc_keypair(data, params))
+    key = codec.decode_keypair(_read(args.key), params,
+                               netdemo.DIRECTIONS[args.mode].sender)
     message = _read(args.infile)
     session = netdemo.run_client(params, key, message, mode=args.mode,
                                  host=args.host, port=args.port, rng=_rng())
@@ -276,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("unsigncrypt", _cmd_unsigncrypt, "unsigncrypt a ciphertext file"),
     ):
         p = add(name, func, help_text)
-        p.add_argument("--mode", choices=("pchs", "cphs"), required=True)
+        p.add_argument("--mode", choices=tuple(netdemo.DIRECTIONS), required=True)
         p.add_argument("--params", required=True)
         p.add_argument("--key", required=True, help="own key pair file")
         p.add_argument("--peer", required=True, help="peer public export file")
@@ -290,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("client", _cmd_client, "run the demo client"),
     ):
         p = add(name, func, help_text)
-        p.add_argument("--mode", choices=("pchs", "cphs"), default="pchs")
+        p.add_argument("--mode", choices=tuple(netdemo.DIRECTIONS), default="pchs")
         p.add_argument("--params", required=True)
         p.add_argument("--key", required=True, help="own key pair file")
         p.add_argument("--host", default="127.0.0.1")

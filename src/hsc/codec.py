@@ -129,13 +129,18 @@ def _header(kind: FileKind, group_name: str) -> bytes:
     return MAGIC + bytes([FORMAT_VERSION, kind, len(name)]) + name
 
 
-def _read_header(r: _Reader, kind: FileKind) -> str:
+def _read_kind(r: _Reader) -> int:
+    """Check the magic and the version; return the raw kind byte."""
     if r.take(4) != MAGIC:
         raise HeaderError("bad magic; not an HSC file")
     version = r.take_int(1)
     if version != FORMAT_VERSION:
         raise HeaderError(f"unsupported format version {version}")
-    actual = r.take_int(1)
+    return r.take_int(1)
+
+
+def _read_header(r: _Reader, kind: FileKind) -> str:
+    actual = _read_kind(r)
     if actual != kind:
         raise HeaderError(f"expected {kind.name} file, found kind 0x{actual:02x}")
     try:
@@ -146,13 +151,7 @@ def _read_header(r: _Reader, kind: FileKind) -> str:
 
 def file_kind(data: bytes) -> FileKind:
     """Identify an HSC file from its header without decoding the body."""
-    r = _Reader(data)
-    if r.take(4) != MAGIC:
-        raise HeaderError("bad magic; not an HSC file")
-    version = r.take_int(1)
-    if version != FORMAT_VERSION:
-        raise HeaderError(f"unsupported format version {version}")
-    kind = r.take_int(1)
+    kind = _read_kind(_Reader(data))
     try:
         return FileKind(kind)
     except ValueError:
@@ -198,7 +197,7 @@ def decode_ciphertext(data: bytes, params: SystemParams) -> Ciphertext:
     return Ciphertext(c=r.rest(), u=u, V=V, direction=direction)
 
 
-# -- system parameters and key files ----------------------------------------
+# -- system parameters --------------------------------------------------------
 
 
 def _encode_hash_config(config: HashConfig) -> bytes:
@@ -256,122 +255,133 @@ def decode_params(data: bytes) -> SystemParams:
     return SystemParams(group=group, P=P, Ppub=Ppub, n=n, l=l, hash=hash_config)
 
 
-def encode_master(params: SystemParams, master: MasterKey) -> bytes:
+# -- key files ------------------------------------------------------------------
+#
+# A key file is its header followed by the fields of its kind's layout, in
+# order: a scalar is scalar_len bytes, an element element_len bytes, and
+# bytes a 4-byte length prefix plus the data.  Public exports hold no
+# scalar.  Field names are the attribute names of the decoded objects.
+
+SCALAR, ELEMENT, BYTES = "scalar", "element", "bytes"
+
+LAYOUTS = {
+    FileKind.MASTER: (("s", SCALAR),),
+    FileKind.PKI_KEY: (("x_p", SCALAR), ("PK_p", ELEMENT)),
+    FileKind.CLC_KEY: (("identity", BYTES), ("x_c", SCALAR), ("d", SCALAR),
+                       ("T", ELEMENT), ("PK_c1", ELEMENT)),
+    FileKind.CLC_PARTIAL: (("identity", BYTES), ("d", SCALAR), ("T", ELEMENT)),
+    FileKind.PKI_PUB: (("PK_p", ELEMENT),),
+    FileKind.CLC_PUB: (("identity", BYTES), ("T", ELEMENT), ("PK_c1", ELEMENT)),
+}
+
+# each key-pair class's key file and public export
+_KEYPAIR_KINDS = {PkiKeyPair: (FileKind.PKI_KEY, FileKind.PKI_PUB),
+                  ClcKeyPair: (FileKind.CLC_KEY, FileKind.CLC_PUB)}
+
+
+def _encode_fields(params: SystemParams, kind: FileKind, fields: dict) -> bytes:
+    """The header of `kind`, then the values its layout names in `fields`."""
     g = params.group
-    return _header(FileKind.MASTER, g.descriptor.name) + g.encode_scalar(master.s)
+    out = _header(kind, g.descriptor.name)
+    for name, field_type in LAYOUTS[kind]:
+        value = fields[name]
+        if field_type == SCALAR:
+            out += g.encode_scalar(value)
+        elif field_type == ELEMENT:
+            out += g.encode_element(value)
+        else:
+            out += _prefixed(value)
+    return out
+
+
+def _decode_fields(data: bytes, params: SystemParams, kind: FileKind) -> dict:
+    """The fields of a `kind` file made for the params' group, by name."""
+    g = params.group
+    r = _Reader(data)
+    _check_group(_read_header(r, kind), params)
+    fields = {}
+    for name, field_type in LAYOUTS[kind]:
+        if field_type == SCALAR:
+            fields[name] = g.decode_scalar(r.take(g.descriptor.scalar_len))
+        elif field_type == ELEMENT:
+            fields[name] = g.decode_element(r.take(g.descriptor.element_len))
+        else:
+            fields[name] = r.take_prefixed()
+    r.finish()
+    return fields
+
+
+def encode_master(params: SystemParams, master: MasterKey) -> bytes:
+    return _encode_fields(params, FileKind.MASTER, vars(master))
 
 
 def decode_master(data: bytes, params: SystemParams) -> MasterKey:
-    r = _Reader(data)
-    _check_group(_read_header(r, FileKind.MASTER), params)
-    s = params.group.decode_scalar(r.take(params.group.descriptor.scalar_len))
-    r.finish()
-    if s.is_zero():
+    master = MasterKey(**_decode_fields(data, params, FileKind.MASTER))
+    if master.s.is_zero():
         raise CodecError("master key must be nonzero")
-    return MasterKey(s=s)
+    return master
 
 
 def encode_pki_keypair(params: SystemParams, key: PkiKeyPair) -> bytes:
-    g = params.group
-    return (
-        _header(FileKind.PKI_KEY, g.descriptor.name)
-        + g.encode_scalar(key.x_p)
-        + g.encode_element(key.PK_p)
-    )
+    return _encode_fields(params, FileKind.PKI_KEY, vars(key))
 
 
 def decode_pki_keypair(data: bytes, params: SystemParams) -> PkiKeyPair:
-    g = params.group
-    r = _Reader(data)
-    _check_group(_read_header(r, FileKind.PKI_KEY), params)
-    x_p = g.decode_scalar(r.take(g.descriptor.scalar_len))
-    PK_p = g.decode_element(r.take(g.descriptor.element_len))
-    r.finish()
-    return PkiKeyPair(x_p=x_p, PK_p=PK_p)
+    return decode_keypair(data, params, PkiKeyPair)
 
 
 def encode_clc_keypair(params: SystemParams, key: ClcKeyPair) -> bytes:
-    g = params.group
-    return (
-        _header(FileKind.CLC_KEY, g.descriptor.name)
-        + _prefixed(key.identity)
-        + g.encode_scalar(key.x_c)
-        + g.encode_scalar(key.d)
-        + g.encode_element(key.T)
-        + g.encode_element(key.PK_c1)
-    )
+    return _encode_fields(params, FileKind.CLC_KEY, vars(key))
 
 
 def decode_clc_keypair(data: bytes, params: SystemParams) -> ClcKeyPair:
-    g = params.group
-    r = _Reader(data)
-    _check_group(_read_header(r, FileKind.CLC_KEY), params)
-    identity = r.take_prefixed()
-    x_c = g.decode_scalar(r.take(g.descriptor.scalar_len))
-    d = g.decode_scalar(r.take(g.descriptor.scalar_len))
-    T = g.decode_element(r.take(g.descriptor.element_len))
-    PK_c1 = g.decode_element(r.take(g.descriptor.element_len))
-    r.finish()
-    return ClcKeyPair(identity=identity, x_c=x_c, d=d, T=T, PK_c1=PK_c1)
+    return decode_keypair(data, params, ClcKeyPair)
+
+
+def decode_keypair(data: bytes, params: SystemParams, key_class: type):
+    """Decode the key file of a PkiKeyPair or ClcKeyPair `key_class`."""
+    return key_class(**_decode_fields(data, params, _KEYPAIR_KINDS[key_class][0]))
 
 
 def encode_partial_key(params: SystemParams, identity: bytes, partial: ClcPartialKey) -> bytes:
-    g = params.group
-    return (
-        _header(FileKind.CLC_PARTIAL, g.descriptor.name)
-        + _prefixed(identity)
-        + g.encode_scalar(partial.d)
-        + g.encode_element(partial.T)
-    )
+    fields = dict(vars(partial), identity=identity)
+    return _encode_fields(params, FileKind.CLC_PARTIAL, fields)
 
 
 def decode_partial_key(data: bytes, params: SystemParams) -> tuple[bytes, ClcPartialKey]:
-    g = params.group
-    r = _Reader(data)
-    _check_group(_read_header(r, FileKind.CLC_PARTIAL), params)
-    identity = r.take_prefixed()
-    d = g.decode_scalar(r.take(g.descriptor.scalar_len))
-    T = g.decode_element(r.take(g.descriptor.element_len))
-    r.finish()
-    return identity, ClcPartialKey(d=d, T=T)
-
-
-# public exports never contain scalar fields
+    fields = _decode_fields(data, params, FileKind.CLC_PARTIAL)
+    return fields.pop("identity"), ClcPartialKey(**fields)
 
 
 def encode_pki_public(params: SystemParams, PK_p: GroupElement) -> bytes:
-    g = params.group
-    return _header(FileKind.PKI_PUB, g.descriptor.name) + g.encode_element(PK_p)
+    return _encode_fields(params, FileKind.PKI_PUB, {"PK_p": PK_p})
 
 
 def decode_pki_public(data: bytes, params: SystemParams) -> GroupElement:
-    g = params.group
-    r = _Reader(data)
-    _check_group(_read_header(r, FileKind.PKI_PUB), params)
-    PK_p = g.decode_element(r.take(g.descriptor.element_len))
-    r.finish()
-    return PK_p
+    return decode_public(data, params, PkiKeyPair)
 
 
 def encode_clc_public(params: SystemParams, identity: bytes, pub: ClcPublicKey) -> bytes:
-    g = params.group
-    return (
-        _header(FileKind.CLC_PUB, g.descriptor.name)
-        + _prefixed(identity)
-        + g.encode_element(pub.T)
-        + g.encode_element(pub.PK_c1)
-    )
+    fields = dict(pub._asdict(), identity=identity)
+    return _encode_fields(params, FileKind.CLC_PUB, fields)
 
 
 def decode_clc_public(data: bytes, params: SystemParams) -> tuple[bytes, ClcPublicKey]:
-    g = params.group
-    r = _Reader(data)
-    _check_group(_read_header(r, FileKind.CLC_PUB), params)
-    identity = r.take_prefixed()
-    T = g.decode_element(r.take(g.descriptor.element_len))
-    PK_c1 = g.decode_element(r.take(g.descriptor.element_len))
-    r.finish()
-    return identity, ClcPublicKey(T=T, PK_c1=PK_c1)
+    return decode_public(data, params, ClcKeyPair)
+
+
+def encode_public(params: SystemParams, key) -> bytes:
+    """The public export of a PkiKeyPair or ClcKeyPair."""
+    return _encode_fields(params, _KEYPAIR_KINDS[type(key)][1], vars(key))
+
+
+def decode_public(data: bytes, params: SystemParams, key_class: type):
+    """Decode the public export of a `key_class` key pair: PK_p for a
+    PkiKeyPair, (identity, ClcPublicKey) for a ClcKeyPair."""
+    fields = _decode_fields(data, params, _KEYPAIR_KINDS[key_class][1])
+    if key_class is PkiKeyPair:
+        return fields["PK_p"]
+    return fields.pop("identity"), ClcPublicKey(**fields)
 
 
 # -- frames -------------------------------------------------------------------

@@ -217,18 +217,25 @@ def clc_finalize(
     )
 
 
+def clc_finalize_random(params: SystemParams, identity: bytes,
+                        partial: ClcPartialKey, rng=None) -> ClcKeyPair:
+    """:func:`clc_finalize` with a random secret value x_c, resampled
+    on the degenerate case."""
+    rng = rng or _system_rng
+    while True:
+        try:
+            return clc_finalize(params, identity, partial, params.group.random_scalar(rng))
+        except DegenerateKeyError:
+            continue
+
+
 def clc_keygen(
     params: SystemParams,
     master: MasterKey,
     identity: bytes,
     rng=None,
 ) -> ClcKeyPair:
-    """Full certificateless keygen in one call (extract + finalize),
-    resampling x_c on the degenerate case."""
+    """Full certificateless keygen in one call (extract + finalize)."""
     rng = rng or _system_rng
     partial = clc_extract_partial(params, master, identity, rng)
-    while True:
-        try:
-            return clc_finalize(params, identity, partial, params.group.random_scalar(rng))
-        except DegenerateKeyError:
-            continue
+    return clc_finalize_random(params, identity, partial, rng)

@@ -19,7 +19,9 @@ do not mistake it for a key-distribution protocol.
 Both peers keep a transcript of every frame sent or received, in order,
 so the two transcripts of an honest session are equal frame-by-frame and
 contain no private key material.  Any out-of-order or undecodable frame
-aborts the session with a distinct outcome code.
+aborts the session with a distinct outcome code.  The client, like the
+server, also turns I/O errors and timeouts into an outcome code.
+:data:`DIRECTIONS` describes each mode once for the demo and the CLI.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ import enum
 import logging
 import socket
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from . import codec
 from .codec import Frame, FrameType
-from .group import DecodeError, GroupElement
-from .keys import ClcKeyPair, ClcPublicKey, PkiKeyPair, SystemParams
+from .group import DecodeError
+from .keys import ClcKeyPair, PkiKeyPair, SystemParams
 from .signcryption import (
     RejectedCiphertext,
     cphs_signcrypt,
@@ -62,6 +64,32 @@ NEGATIVE_STATUS = "negative-status"
 BAD_STATUS = "unexpected-status"
 
 
+@dataclass(frozen=True)
+class DirectionSpec:
+    """One signcryption direction.  `peer` is the other side's decoded
+    public export (codec.decode_public): PK_p for a PKI peer,
+    (identity, ClcPublicKey) for a certificateless one."""
+
+    sender: type  # key-pair class of the signcrypting side
+    receiver: type  # key-pair class of the unsigncrypting side
+    signcrypt: Callable  # (params, key, peer, m, rng) -> Ciphertext
+    unsigncrypt: Callable  # (params, key, peer, sigma) -> bytes
+
+
+# the entries look the signcryption functions up in this module at each
+# call, so a wrapper put in place of one of those names sees every call
+DIRECTIONS = {
+    "pchs": DirectionSpec(
+        PkiKeyPair, ClcKeyPair,
+        lambda params, key, peer, m, rng: pchs_signcrypt(params, key, *peer, m, rng),
+        lambda params, key, peer, sigma: pchs_unsigncrypt(params, key, peer, sigma)),
+    "cphs": DirectionSpec(
+        ClcKeyPair, PkiKeyPair,
+        lambda params, key, peer, m, rng: cphs_signcrypt(params, key, peer, m, rng),
+        lambda params, key, peer, sigma: cphs_unsigncrypt(params, key, *peer, sigma)),
+}
+
+
 class Role(enum.Enum):
     CLIENT = "client"
     SERVER = "server"
@@ -87,9 +115,7 @@ class DemoSession:
     frames: list[Frame] = field(default_factory=list)
     outcome: str = OK
     plaintext: Optional[bytes] = None
-    peer_pki_key: Optional[GroupElement] = None
-    peer_clc_identity: Optional[bytes] = None
-    peer_clc_key: Optional[ClcPublicKey] = None
+    peer_key: Any = None  # the peer's decoded public export
 
     def record(self, frame: Frame) -> Frame:
         self.frames.append(frame)
@@ -143,25 +169,21 @@ class _Abort(Exception):
         self.detail = detail
 
 
-def _serve_session(peer: _Peer, session: DemoSession, params: SystemParams,
-                   key, mode: str, rng) -> None:
-    # 0x02: the client's public key, kind depending on direction
-    frame = peer.expect(FrameType.CLIENT_KEY)
+def _decode_peer_key(frame: Frame, params: SystemParams, key_class: type):
     try:
-        if mode == "pchs":
-            session.peer_pki_key = codec.decode_pki_public(frame.payload, params)
-        else:
-            identity, pub = codec.decode_clc_public(frame.payload, params)
-            session.peer_clc_identity, session.peer_clc_key = identity, pub
+        return codec.decode_public(frame.payload, params, key_class)
     except (codec.CodecError, DecodeError) as exc:
         raise _Abort(MALFORMED_PEER_KEY, str(exc)) from exc
 
+
+def _serve_session(peer: _Peer, session: DemoSession, params: SystemParams,
+                   key, spec: DirectionSpec) -> None:
+    # 0x02: the client's public key
+    frame = peer.expect(FrameType.CLIENT_KEY)
+    session.peer_key = _decode_peer_key(frame, params, spec.sender)
+
     # 0x03: our own public key
-    if mode == "pchs":
-        peer.send(FrameType.SERVER_KEY,
-                  codec.encode_clc_public(params, key.identity, key.public))
-    else:
-        peer.send(FrameType.SERVER_KEY, codec.encode_pki_public(params, key.PK_p))
+    peer.send(FrameType.SERVER_KEY, codec.encode_public(params, key))
     session.state = SessionState.KEYS_EXCHANGED
 
     # 0x04: the ciphertext; undecodable or unverifiable both end in a
@@ -170,11 +192,7 @@ def _serve_session(peer: _Peer, session: DemoSession, params: SystemParams,
     session.state = SessionState.CIPHERTEXT_RECEIVED
     try:
         sigma = codec.decode_ciphertext(frame.payload, params)
-        if mode == "pchs":
-            plaintext = pchs_unsigncrypt(params, key, session.peer_pki_key, sigma)
-        else:
-            plaintext = cphs_unsigncrypt(params, key, session.peer_clc_identity,
-                                         session.peer_clc_key, sigma)
+        plaintext = spec.unsigncrypt(params, key, session.peer_key, sigma)
     except (RejectedCiphertext, codec.CodecError, ValueError) as exc:
         peer.send(FrameType.STATUS, STATUS_FAILED)
         raise _Abort(VERIFY_FAILED, str(exc)) from exc
@@ -191,33 +209,18 @@ def _serve_session(peer: _Peer, session: DemoSession, params: SystemParams,
 
 
 def _client_session(peer: _Peer, session: DemoSession, params: SystemParams,
-                    key, message: bytes, mode: str, rng) -> None:
+                    key, spec: DirectionSpec, message: bytes, rng) -> None:
     # 0x02: our public key
-    if mode == "pchs":
-        peer.send(FrameType.CLIENT_KEY, codec.encode_pki_public(params, key.PK_p))
-    else:
-        peer.send(FrameType.CLIENT_KEY,
-                  codec.encode_clc_public(params, key.identity, key.public))
+    peer.send(FrameType.CLIENT_KEY, codec.encode_public(params, key))
 
     # 0x03: the server's public key; reject malformed material before
     # any signcryption happens
     frame = peer.expect(FrameType.SERVER_KEY)
-    try:
-        if mode == "pchs":
-            identity, pub = codec.decode_clc_public(frame.payload, params)
-            session.peer_clc_identity, session.peer_clc_key = identity, pub
-        else:
-            session.peer_pki_key = codec.decode_pki_public(frame.payload, params)
-    except (codec.CodecError, DecodeError) as exc:
-        raise _Abort(MALFORMED_PEER_KEY, str(exc)) from exc
+    session.peer_key = _decode_peer_key(frame, params, spec.receiver)
     session.state = SessionState.KEYS_EXCHANGED
 
     # 0x04: signcrypt and send
-    if mode == "pchs":
-        sigma = pchs_signcrypt(params, key, session.peer_clc_identity,
-                               session.peer_clc_key, message, rng)
-    else:
-        sigma = cphs_signcrypt(params, key, session.peer_pki_key, message, rng)
+    sigma = spec.signcrypt(params, key, session.peer_key, message, rng)
     peer.send(FrameType.CIPHERTEXT, codec.encode_ciphertext(sigma))
     session.state = SessionState.CIPHERTEXT_SENT
 
@@ -231,6 +234,38 @@ def _client_session(peer: _Peer, session: DemoSession, params: SystemParams,
     session.state = SessionState.DONE
 
 
+def _run_session(conn: socket.socket, role: Role, body, *args) -> DemoSession:
+    """Run `body(peer, session, *args)` over `conn`; each failure ends the
+    session with its outcome code instead of an exception."""
+    session = DemoSession(role=role)
+    peer = _Peer(conn, session)
+    try:
+        body(peer, session, *args)
+    except _Abort as exc:
+        session.abort(exc.code, exc.detail)
+    except codec.EndOfStreamError as exc:
+        session.abort(END_OF_STREAM, str(exc))
+    except codec.CodecError as exc:
+        session.abort(FRAME_DECODE, str(exc))
+    except OSError as exc:
+        session.abort(END_OF_STREAM, str(exc))
+    finally:
+        peer.close()
+    return session
+
+
+def _direction(mode: str, role: Role, key) -> DirectionSpec:
+    """The direction of `mode`, once `key` is checked to be the key-pair
+    class of `role`: the client signcrypts, the server unsigncrypts."""
+    spec = DIRECTIONS.get(mode)
+    if spec is None:
+        raise ValueError(f"unknown mode {mode!r}")
+    expected = spec.sender if role is Role.CLIENT else spec.receiver
+    if not isinstance(key, expected):
+        raise TypeError(f"{mode} {role.value} needs a {expected.__name__}")
+    return spec
+
+
 class DemoServer:
     """Binds a listening socket up front (so tests can read the chosen
     port) and serves sessions one connection at a time."""
@@ -238,11 +273,7 @@ class DemoServer:
     def __init__(self, params: SystemParams, key, *, mode: str = "pchs",
                  host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                  timeout: float = DEFAULT_TIMEOUT, rng=None) -> None:
-        if mode not in ("pchs", "cphs"):
-            raise ValueError(f"unknown mode {mode!r}")
-        expected = ClcKeyPair if mode == "pchs" else PkiKeyPair
-        if not isinstance(key, expected):
-            raise TypeError(f"{mode} server needs a {expected.__name__}")
+        self.spec = _direction(mode, Role.SERVER, key)
         self.params = params
         self.key = key
         self.mode = mode
@@ -258,25 +289,12 @@ class DemoServer:
     def serve_one(self) -> DemoSession:
         """Accept one connection and run one session to completion or
         abort; returns the server-side transcript."""
-        session = DemoSession(role=Role.SERVER)
         conn, addr = self._sock.accept()
         conn.settimeout(self.timeout)
         logger.info("serving %s session for %s", self.mode, addr)
-        peer = _Peer(conn, session)
-        try:
-            _serve_session(peer, session, self.params, self.key, self.mode, self.rng)
-        except _Abort as exc:
-            session.abort(exc.code, exc.detail)
-        except codec.EndOfStreamError as exc:
-            session.abort(END_OF_STREAM, str(exc))
-        except codec.CodecError as exc:
-            session.abort(FRAME_DECODE, str(exc))
-        except OSError as exc:
-            session.abort(END_OF_STREAM, str(exc))
-        finally:
-            peer.close()
-            conn.close()
-        return session
+        with conn:
+            return _run_session(conn, Role.SERVER, _serve_session,
+                                self.params, self.key, self.spec)
 
     def close(self) -> None:
         self._sock.close()
@@ -302,23 +320,8 @@ def run_client(params: SystemParams, key, message: bytes, *,
                port: int = DEFAULT_PORT, timeout: float = DEFAULT_TIMEOUT,
                rng=None) -> DemoSession:
     """Connect, run one session sending `message`, return the transcript."""
-    if mode not in ("pchs", "cphs"):
-        raise ValueError(f"unknown mode {mode!r}")
-    expected = PkiKeyPair if mode == "pchs" else ClcKeyPair
-    if not isinstance(key, expected):
-        raise TypeError(f"{mode} client needs a {expected.__name__}")
-    session = DemoSession(role=Role.CLIENT)
+    spec = _direction(mode, Role.CLIENT, key)
     with socket.create_connection((host, port), timeout=timeout) as conn:
         conn.settimeout(timeout)
-        peer = _Peer(conn, session)
-        try:
-            _client_session(peer, session, params, key, message, mode, rng)
-        except _Abort as exc:
-            session.abort(exc.code, exc.detail)
-        except codec.EndOfStreamError as exc:
-            session.abort(END_OF_STREAM, str(exc))
-        except codec.CodecError as exc:
-            session.abort(FRAME_DECODE, str(exc))
-        finally:
-            peer.close()
-    return session
+        return _run_session(conn, Role.CLIENT, _client_session,
+                            params, key, spec, message, rng)

@@ -42,6 +42,20 @@ class TestReportShape:
             bench_run(params, iterations=0)
 
 
+class TestToyGroupKeys:
+    """On toy-13, x_c + d == 0 has probability 1/12 per draw, so the
+    bench's own CLC keys must go through the resampling finalize."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bench_run_completes_on_toy13(self, seed):
+        rng = random.Random(seed)
+        params, _ = keys.setup("toy-13", rng=rng)
+        report = bench_run(params, iterations=50, rng=rng)
+        assert [t.name for t in report.timings] == EXPECTED_OPS
+        assert report.op_counts["pchs_signcrypt"].scalar_mults == 4
+        assert report.op_counts["cphs_signcrypt"].scalar_mults == 3
+
+
 class TestMeasuredOpCounts:
     """The count table comes from scoped counters, so it reflects what
     the code actually does."""

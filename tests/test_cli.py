@@ -94,6 +94,46 @@ class TestLifecycle:
         assert "ERROR decode" in result.stderr
 
 
+class TestIdOverride:
+    """--id replaces a certificateless peer's identity and is ignored for
+    a PKI peer."""
+
+    def signcrypt(self, ws, mode, key, peer, out, *extra):
+        run(["signcrypt", "--mode", mode, "--params", "params.hsc", "--key", key,
+             "--peer", peer, *extra, "--in", "msg.txt", "--out", out], ws)
+
+    def unsigncrypt(self, ws, mode, key, peer, sigma, out, *extra, expect=0):
+        result = run(["unsigncrypt", "--mode", mode, "--params", "params.hsc",
+                      "--key", key, "--peer", peer, *extra, "--in", sigma,
+                      "--out", out], ws, expect=expect)
+        if expect == 3:
+            assert result.stderr.strip() == "REJECT"
+            assert not (ws / out).exists()
+        else:
+            assert "ACCEPT" in result.stdout
+            assert (ws / out).read_bytes() == (ws / "msg.txt").read_bytes()
+
+    def test_pchs_signcrypt_binds_the_overridden_identity(self, workspace):
+        self.signcrypt(workspace, "pchs", "alice.hsc", "bob.pub.hsc",
+                       "id_pchs.hsc", "--id", "carol")
+        for extra in ((), ("--id", "carol")):
+            self.unsigncrypt(workspace, "pchs", "bob.hsc", "alice.pub.hsc",
+                             "id_pchs.hsc", "id_pchs.txt", *extra, expect=3)
+
+    def test_cphs_signcrypt_ignores_id(self, workspace):
+        self.signcrypt(workspace, "cphs", "bob.hsc", "alice.pub.hsc",
+                       "id_cphs.hsc", "--id", "carol")
+        self.unsigncrypt(workspace, "cphs", "alice.hsc", "bob.pub.hsc",
+                         "id_cphs.hsc", "id_cphs.txt")
+
+    def test_cphs_unsigncrypt_checks_the_overridden_identity(self, workspace):
+        self.signcrypt(workspace, "cphs", "bob.hsc", "alice.pub.hsc", "id_cphs2.hsc")
+        self.unsigncrypt(workspace, "cphs", "alice.hsc", "bob.pub.hsc",
+                         "id_cphs2.hsc", "id_carol.txt", "--id", "carol", expect=3)
+        self.unsigncrypt(workspace, "cphs", "alice.hsc", "bob.pub.hsc",
+                         "id_cphs2.hsc", "id_bob.txt", "--id", "bob")
+
+
 class TestFileHygiene:
     def test_refuses_overwrite_without_force(self, workspace):
         result = run(["pki-keygen", "--params", "params.hsc",

@@ -282,6 +282,75 @@ class TestFuzz:
             pass
 
 
+def _valid_encodings(params, master, rng):
+    """(name, bytes, decode, re-encode) for a valid file of every kind
+    and a ciphertext; re-encode turns decode's result back into bytes."""
+    pki = keys.pki_keygen(params, rng)
+    clc = keys.clc_keygen(params, master, b"fuzz-user", rng)
+    partial = keys.clc_extract_partial(params, master, b"fuzz-user", rng)
+    sigma = pchs_signcrypt(params, pki, clc.identity, clc.public, b"fuzz", rng)
+    return [
+        ("params", codec.encode_params(params), codec.decode_params,
+         codec.encode_params),
+        ("master", codec.encode_master(params, master),
+         lambda d: codec.decode_master(d, params),
+         lambda x: codec.encode_master(params, x)),
+        ("pki key", codec.encode_pki_keypair(params, pki),
+         lambda d: codec.decode_pki_keypair(d, params),
+         lambda x: codec.encode_pki_keypair(params, x)),
+        ("clc key", codec.encode_clc_keypair(params, clc),
+         lambda d: codec.decode_clc_keypair(d, params),
+         lambda x: codec.encode_clc_keypair(params, x)),
+        ("partial key", codec.encode_partial_key(params, b"fuzz-user", partial),
+         lambda d: codec.decode_partial_key(d, params),
+         lambda x: codec.encode_partial_key(params, *x)),
+        ("pki public", codec.encode_pki_public(params, pki.PK_p),
+         lambda d: codec.decode_pki_public(d, params),
+         lambda x: codec.encode_pki_public(params, x)),
+        ("clc public", codec.encode_clc_public(params, clc.identity, clc.public),
+         lambda d: codec.decode_clc_public(d, params),
+         lambda x: codec.encode_clc_public(params, *x)),
+        ("ciphertext", codec.encode_ciphertext(sigma),
+         lambda d: codec.decode_ciphertext(d, params), codec.encode_ciphertext),
+    ]
+
+
+def _mutate(data: bytes, rng: random.Random) -> bytes:
+    """One to three byte flips, truncations or extensions."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(3)
+        if op == 0 and out:
+            out[rng.randrange(len(out))] ^= rng.randint(1, 255)
+        elif op == 1:
+            del out[rng.randrange(len(out) + 1):]
+        else:
+            out += bytes(rng.getrandbits(8) for _ in range(rng.randint(1, 8)))
+    return bytes(out)
+
+
+class TestMutationFuzz:
+    """Valid encodings, mutated: decoders raise only CodecError or
+    DecodeError, and whatever still decodes re-encodes to the same bytes
+    (decoders validate rather than normalise)."""
+
+    MUTATIONS = 300
+
+    @pytest.mark.parametrize("group", ["secp256k1", "toy-13"])
+    def test_mutated_encodings(self, group):
+        rng = random.Random(f"mutation-fuzz-{group}")
+        params, master = keys.setup(group, n=256, rng=rng)
+        for name, data, decode, encode in _valid_encodings(params, master, rng):
+            assert encode(decode(data)) == data, name
+            for _ in range(self.MUTATIONS):
+                mutated = _mutate(data, rng)
+                try:
+                    value = decode(mutated)
+                except (CodecError, DecodeError):
+                    continue
+                assert encode(value) == mutated, (name, mutated.hex())
+
+
 class TestSignedCiphertextOnWire:
     def test_real_ciphertext_survives_the_wire(self, prod, rng):
         sigma = pchs_signcrypt(prod.params, prod.alice, prod.identity,

@@ -3,10 +3,11 @@ paths (tampering, out-of-order frames, malformed keys)."""
 
 import socket
 import threading
+from functools import partial
 
 import pytest
 
-from hsc import codec, keys, netdemo
+from hsc import cli, codec, keys, netdemo
 from hsc.codec import Frame, FrameType
 from hsc.netdemo import (
     DemoServer,
@@ -185,6 +186,62 @@ class TestAbortPaths:
         assert client.state == SessionState.ABORTED
 
 
+class TestClientFailureHandling:
+    """The client turns I/O failures into an outcome code, as the server
+    does, instead of raising."""
+
+    @staticmethod
+    def _stalling_server():
+        """Accepts one connection and sends nothing until released."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5.0)
+        release = threading.Event()
+
+        def stall():
+            conn, _ = listener.accept()
+            with conn:
+                release.wait(10.0)
+
+        thread = threading.Thread(target=stall)
+        thread.start()
+        return listener, release, thread
+
+    def test_stalled_server_ends_in_end_of_stream(self, prod):
+        listener, release, thread = self._stalling_server()
+        try:
+            client = netdemo.run_client(prod.params, prod.alice, b"msg", mode="pchs",
+                                        port=listener.getsockname()[1], timeout=0.5)
+        finally:
+            release.set()
+            thread.join(timeout=10.0)
+            listener.close()
+        assert not thread.is_alive()
+        assert client.outcome == netdemo.END_OF_STREAM
+        assert client.state == SessionState.ABORTED
+        assert [f.type_tag for f in client.frames] == [FrameType.CLIENT_KEY]
+
+    def test_cli_client_exits_4_on_stalled_server(self, prod, tmp_path, monkeypatch,
+                                                  capsys):
+        (tmp_path / "p.hsc").write_bytes(codec.encode_params(prod.params))
+        (tmp_path / "k.hsc").write_bytes(codec.encode_pki_keypair(prod.params, prod.alice))
+        (tmp_path / "m.txt").write_bytes(b"msg")
+        monkeypatch.setattr(netdemo, "run_client",
+                            partial(netdemo.run_client, timeout=0.5))
+        listener, release, thread = self._stalling_server()
+        try:
+            code = cli.main(["client", "--params", str(tmp_path / "p.hsc"),
+                             "--key", str(tmp_path / "k.hsc"),
+                             "--in", str(tmp_path / "m.txt"),
+                             "--port", str(listener.getsockname()[1])])
+        finally:
+            release.set()
+            thread.join(timeout=10.0)
+            listener.close()
+        assert not thread.is_alive()
+        assert code == cli.EXIT_IO
+        assert "outcome: end-of-stream" in capsys.readouterr().out
+
+
 class TestKeyTypeGuards:
     def test_server_requires_matching_key_type(self, prod):
         with pytest.raises(TypeError):
@@ -195,3 +252,13 @@ class TestKeyTypeGuards:
     def test_unknown_mode_rejected(self, prod):
         with pytest.raises(ValueError):
             DemoServer(prod.params, prod.bob, mode="ibc", port=0)
+
+    @pytest.mark.parametrize("mode", sorted(netdemo.DIRECTIONS))
+    def test_guards_follow_the_direction_table(self, prod, mode):
+        spec = netdemo.DIRECTIONS[mode]
+        keys_by_class = {type(prod.alice): prod.alice, type(prod.bob): prod.bob}
+        with pytest.raises(TypeError, match=f"{mode} server needs a {spec.receiver.__name__}"):
+            DemoServer(prod.params, keys_by_class[spec.sender], mode=mode, port=0)
+        with pytest.raises(TypeError, match=f"{mode} client needs a {spec.sender.__name__}"):
+            netdemo.run_client(prod.params, keys_by_class[spec.receiver], b"m",
+                               mode=mode, port=1)
