@@ -8,17 +8,22 @@ of each algorithm -- measured, never hardcoded.
 
 Absolute times are hardware-dependent and not comparable across machines;
 consumers should assert orderings and ratios only.  The machine-readable
-rows have a fixed column set so CI can diff runs.
+rows have a fixed column set so CI can diff runs; the JSON form carries
+the same rows plus the Python version, core count and git commit.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+import os
+import platform
 import secrets
 import statistics
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .group import OpCounter
 from .keys import (
@@ -94,6 +99,15 @@ class BenchReport:
         writer.writerows(self.rows())
         return buf.getvalue()
 
+    def to_json(self) -> str:
+        """The CSV rows, as JSON objects, under the run's `meta`."""
+        meta = {
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "commit": git_commit(Path(__file__).resolve().parent),
+        }
+        return json.dumps({"meta": meta, "rows": self.rows()}, indent=1) + "\n"
+
     def table(self) -> str:
         lines = [f"group: {self.group_name}", ""]
         lines.append(f"{'operation':<20} {'iters':>7} {'mean ms':>12} {'median ms':>12}")
@@ -109,6 +123,33 @@ class BenchReport:
                 f"{name:<20} {c.scalar_mults:>4} {c.group_adds:>4} {c.hash_calls:>4}"
             )
         return "\n".join(lines)
+
+
+def git_commit(start: Path) -> str | None:
+    """The commit checked out in the nearest `.git` directory at or above
+    `start`, read from its files without running git; None outside a
+    checkout."""
+    for directory in (start, *start.parents):
+        git_dir = directory / ".git"
+        if git_dir.is_dir():
+            break
+    else:
+        return None
+    try:
+        head = (git_dir / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head  # detached HEAD
+        ref = head[len("ref: "):]
+        loose = git_dir / ref
+        if loose.is_file():
+            return loose.read_text().strip()
+        for line in (git_dir / "packed-refs").read_text().splitlines():
+            commit, _, name = line.partition(" ")
+            if name == ref:
+                return commit
+    except OSError:
+        pass
+    return None
 
 
 def _time_loop(fn, inputs) -> list[float]:

@@ -29,7 +29,7 @@ import secrets
 import sys
 from pathlib import Path
 
-from . import bench, codec, keys, netdemo
+from . import codec, keys, netdemo
 from .group import DecodeError
 from .keys import ClcKeyPair, DegenerateKeyError, PartialKeyError, PkiKeyPair
 from .signcryption import MessageSizeError, RejectedCiphertext
@@ -171,7 +171,7 @@ def _cmd_serve(args) -> int:
     key = codec.decode_keypair(_read(args.key), params,
                                netdemo.DIRECTIONS[args.mode].receiver)
     session = netdemo.run_server(params, key, mode=args.mode,
-                                 host=args.host, port=args.port, rng=_rng())
+                                 host=args.host, port=args.port)
     if session.plaintext is not None:
         print(f"received message: {session.plaintext!r}")
     return _session_exit(session)
@@ -188,6 +188,10 @@ def _cmd_client(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # imported here, not at the top: every other command starts a process
+    # of its own, and none of them needs the harness or its imports
+    from . import bench
+
     if args.params is not None:
         params = _load_params(args.params)
     else:
@@ -197,6 +201,9 @@ def _cmd_bench(args) -> int:
     if args.out is not None:
         _write(args.out, report.to_csv().encode(), args.force)
         print(f"csv rows -> {args.out}")
+    if args.json is not None:
+        _write(args.json, report.to_json().encode(), args.force)
+        print(f"json report -> {args.json}")
     return EXIT_OK
 
 
@@ -282,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=10000,
                    help="iterations for primitive ops (default 10000)")
     p.add_argument("--out", help="write machine-readable CSV here")
+    p.add_argument("--json", help="write the CSV rows and run metadata as JSON here")
     p.add_argument("--force", action="store_true")
 
     return parser

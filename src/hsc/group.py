@@ -4,9 +4,13 @@ Two interchangeable instantiations sit behind one interface:
 
 - :class:`Secp256k1Group` -- the production group.  secp256k1 has a prime
   order (cofactor 1), so the whole curve is the group.  Arithmetic is pure
-  Python: Jacobian coordinates with a 4-bit fixed window for scalar
-  multiplication.  This is research-grade code; it is NOT constant-time
-  and must not be used where side channels matter.
+  Python in Jacobian coordinates.  Scalar multiplication splits k with the
+  GLV endomorphism into two ~128-bit halves, recodes each as width-5 wNAF
+  and runs one shared doubling chain, adding affine odd multiples of the
+  point with mixed Jacobian-affine additions; the odd-multiples table of
+  each point is built with one inversion and kept in a small LRU cache.
+  This is research-grade code; it is NOT constant-time and must not be
+  used where side channels matter.
 
 - :class:`ToyGroup` -- the additive group of integers modulo a small prime
   q with generator 1.  Cryptographically worthless, but every operation
@@ -15,13 +19,16 @@ Two interchangeable instantiations sit behind one interface:
 
 Scalars live in Z_q for the group order q.  Group elements and scalars are
 immutable and safe to share between threads.  Operation counting
-(:meth:`Group.counting`) is scoped to one thread at a time: enter a scope,
-run one algorithm, read the tallies.
+(:meth:`Group.counting`) is kept per thread (per context): enter a scope,
+run one algorithm, read the tallies; other threads using the same group
+meanwhile neither add to them nor see them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -196,8 +203,10 @@ class Group:
     descriptor: GroupDescriptor
 
     def __init__(self) -> None:
-        # innermost scope only; None entries pause counting entirely
-        self._counter_stack: list[Optional[OpCounter]] = []
+        # the innermost scope of the current thread (context); None while
+        # no scope is open or counting is paused
+        self._scope: contextvars.ContextVar[Optional[OpCounter]] = \
+            contextvars.ContextVar(f"hsc-op-counter-{id(self):x}", default=None)
 
     # -- counting scopes --------------------------------------------------
 
@@ -206,14 +215,14 @@ class Group:
         """Count operations until the scope exits.
 
         Scopes nest (the innermost one receives the tallies) and are
-        confined to a single thread.
+        confined to the thread (context) that opened them.
         """
         counter = OpCounter()
-        self._counter_stack.append(counter)
+        token = self._scope.set(counter)
         try:
             yield counter
         finally:
-            self._counter_stack.pop()
+            self._scope.reset(token)
 
     @contextlib.contextmanager
     def counter_paused(self) -> Iterator[None]:
@@ -223,17 +232,16 @@ class Group:
         interior step (e.g. re-deriving a key-binding hash) to a different
         phase.
         """
-        self._counter_stack.append(None)
+        token = self._scope.set(None)
         try:
             yield
         finally:
-            self._counter_stack.pop()
+            self._scope.reset(token)
 
     def _tally(self, field: str) -> None:
-        if self._counter_stack:
-            counter = self._counter_stack[-1]
-            if counter is not None:
-                setattr(counter, field, getattr(counter, field) + 1)
+        counter = self._scope.get()
+        if counter is not None:
+            setattr(counter, field, getattr(counter, field) + 1)
 
     def count_hash_call(self) -> None:
         """Hook for the hash oracles, which share the group's scope."""
@@ -432,27 +440,26 @@ def _jac_double(X1, Y1, Z1):
     return X3, Y3, Z3
 
 
-def _jac_add(X1, Y1, Z1, X2, Y2, Z2):
-    # add-2007-bl; falls back to doubling when the inputs coincide
+def _jac_madd(X1, Y1, Z1, x2, y2):
+    # madd-2007-bl: Jacobian plus affine (Z2 = 1), with Z3 = 2*Z1*H in
+    # place of (Z1+H)^2-Z1Z1-HH; doubles when the inputs coincide and
+    # gives the identity when they are opposite
+    if Z1 == 0:
+        return x2, y2, 1
     p = _P
     Z1Z1 = Z1 * Z1 % p
-    Z2Z2 = Z2 * Z2 % p
-    U1 = X1 * Z2Z2 % p
-    U2 = X2 * Z1Z1 % p
-    S1 = Y1 * Z2 * Z2Z2 % p
-    S2 = Y2 * Z1 * Z1Z1 % p
-    H = (U2 - U1) % p
+    H = (x2 * Z1Z1 - X1) % p
+    r = 2 * (y2 * Z1 * Z1Z1 - Y1) % p
     if H == 0:
-        if (S2 - S1) % p == 0:
+        if r == 0:
             return _jac_double(X1, Y1, Z1)
         return 0, 1, 0
     I = 4 * H * H % p
     J = H * I % p
-    r = 2 * (S2 - S1) % p
-    V = U1 * I % p
+    V = X1 * I % p
     X3 = (r * r - J - 2 * V) % p
-    Y3 = (r * (V - X3) - 2 * S1 * J) % p
-    Z3 = ((Z1 + Z2) * (Z1 + Z2) - Z1Z1 - Z2Z2) % p * H % p
+    Y3 = (r * (V - X3) - 2 * Y1 * J) % p
+    Z3 = 2 * Z1 * H % p
     return X3, Y3, Z3
 
 
@@ -464,12 +471,102 @@ def _jac_to_affine(X, Y, Z):
     return X * zi2 % _P, Y * zi2 % _P * zi % _P
 
 
+# GLV endomorphism (Gallant-Lambert-Vanstone, CRYPTO 2001): for the cube
+# root of unity _LAMBDA mod N, _LAMBDA*(x, y) = (_BETA*x, y), with _BETA a
+# cube root of unity mod P.  (A1, B1) and (A2, B2) are short vectors of the
+# lattice {(a, b) : a + b*_LAMBDA = 0 mod N}, the constants libsecp256k1
+# uses.  The other cube root of unity would give a wrong split, so these
+# integer identities are checked here; the point identity for G costs a
+# scalar multiplication in every process and is checked in the tests.
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+if (_BETA == 1 or pow(_BETA, 3, _P) != 1 or _LAMBDA == 1 or pow(_LAMBDA, 3, _N) != 1
+        or (_A1 + _B1 * _LAMBDA) % _N or (_A2 + _B2 * _LAMBDA) % _N):
+    raise RuntimeError("inconsistent secp256k1 GLV constants")
+
+_WNAF_WIDTH = 5
+_TABLE_SIZE = 1 << (_WNAF_WIDTH - 2)  # odd multiples 1, 3, ..., 15
+# P, Ppub and the keys of a few peers, a few KB each
+_TABLE_CACHE_SIZE = 16
+
+
+def _glv_split(k: int) -> tuple[int, int]:
+    """k1, k2 with k = k1 + k2*_LAMBDA (mod N), both below 2^129 in
+    absolute value (Guide to ECC, Algorithm 3.74); either may be
+    negative."""
+    c1 = (_B2 * k + _N // 2) // _N
+    c2 = (-_B1 * k + _N // 2) // _N
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _wnaf(k: int) -> list[int]:
+    """Width-5 non-adjacent form of k >= 0, least significant digit
+    first: each digit is 0 or odd in [-15, 15]."""
+    digits = []
+    while k:
+        if k & 1:
+            d = k & ((1 << _WNAF_WIDTH) - 1)
+            if d >= 1 << (_WNAF_WIDTH - 1):
+                d -= 1 << _WNAF_WIDTH
+            k -= d
+        else:
+            d = 0
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _odd_multiples(point):
+    """Affine 1X, 3X, ..., 15X for the affine point X, and the same
+    multiples of _LAMBDA*X, from one field inversion."""
+    p = _P
+    x, y = point
+    # 2X = (dx, dy, dz) is the affine point (dx, dy) on the isomorphic
+    # curve y^2 = x^3 + 7*dz^6, where X is (x*dz^2, y*dz^3).  Neither madd
+    # nor the a = 0 doubling reads the curve constant, so the chain runs
+    # there; a sum (X', Y', Z') there is (X', Y', Z'*dz) on secp256k1.
+    dx, dy, dz = _jac_double(x, y, 1)
+    dz2 = dz * dz % p
+    acc = (x * dz2 % p, y * dz2 % p * dz % p, 1)
+    chain = [acc]
+    for _ in range(_TABLE_SIZE - 1):
+        acc = _jac_madd(*acc, dx, dy)
+        chain.append(acc)
+    zs = [Z * dz % p for _, _, Z in chain]
+    # Montgomery's trick: every 1/Z from one inversion of their product
+    prefix = [1]
+    for z in zs:
+        prefix.append(prefix[-1] * z % p)
+    inv = pow(prefix[-1], -1, p)
+    table = [None] * _TABLE_SIZE
+    for i in reversed(range(_TABLE_SIZE)):
+        zi = inv * prefix[i] % p
+        inv = inv * zs[i] % p
+        X, Y, _ = chain[i]
+        zi2 = zi * zi % p
+        table[i] = (X * zi2 % p, Y * zi2 % p * zi % p)
+    return tuple(table), tuple((_BETA * tx % p, ty) for tx, ty in table)
+
+
 class Secp256k1Group(Group):
     """secp256k1 as a plain prime-order group (no ECDSA baggage).
 
     Canonical element encoding is 33 bytes: SEC1 compressed for proper
     points, 33 zero bytes for the identity.  Decoding rejects anything
     non-canonical instead of normalising it.
+
+    k*X splits k into k1 + k2*lambda with halves below 2^129 (GLV),
+    recodes both as width-5 wNAF and runs one doubling chain of about
+    129 steps for both, adding affine odd multiples of X and of
+    lambda*X with mixed Jacobian-affine additions (madd-2007-bl).  The
+    table of odd multiples costs one inversion and is cached for the 16
+    most recently used points, shared by all instances, so the fixed
+    bases P and Ppub and repeated peer keys build it once.
     """
 
     def __init__(self) -> None:
@@ -489,7 +586,7 @@ class Secp256k1Group(Group):
             return yv
         if yv is None:
             return xv
-        return _jac_to_affine(*_jac_add(xv[0], xv[1], 1, yv[0], yv[1], 1))
+        return _jac_to_affine(*_jac_madd(xv[0], xv[1], 1, yv[0], yv[1]))
 
     def _neg_value(self, xv):
         if xv is None:
@@ -499,31 +596,23 @@ class Secp256k1Group(Group):
     def _mul_value(self, k: int, xv):
         if xv is None or k == 0:
             return None
-        x, y = xv
-        # 4-bit fixed window over a Jacobian table
-        tbl = [(0, 1, 0), (x, y, 1)]
-        for i in range(2, 16):
-            if i & 1:
-                tbl.append(_jac_add(*tbl[i - 1], x, y, 1))
-            else:
-                tbl.append(_jac_double(*tbl[i >> 1]))
-        nibbles = []
-        while k:
-            nibbles.append(k & 15)
-            k >>= 4
+        k1, k2 = _glv_split(k)
+        table, table_lambda = _odd_multiples(xv)
+        # adds[i]: the affine points to add after doubling at bit i; the
+        # k2 half adds multiples of _LAMBDA*X, and a negative digit or a
+        # negative half adds the negated point
+        adds = [[] for _ in range(max(abs(k1), abs(k2)).bit_length() + 1)]
+        for half, tbl in ((k1, table), (k2, table_lambda)):
+            for i, d in enumerate(_wnaf(abs(half))):
+                if d:
+                    x, y = tbl[abs(d) >> 1]
+                    adds[i].append((x, _P - y) if (d < 0) != (half < 0) else (x, y))
         rx, ry, rz = 0, 1, 0
-        for nib in reversed(nibbles):
+        for points in reversed(adds):
             if rz:
                 rx, ry, rz = _jac_double(rx, ry, rz)
-                rx, ry, rz = _jac_double(rx, ry, rz)
-                rx, ry, rz = _jac_double(rx, ry, rz)
-                rx, ry, rz = _jac_double(rx, ry, rz)
-            if nib:
-                tx, ty, tz = tbl[nib]
-                if rz == 0:
-                    rx, ry, rz = tx, ty, tz
-                else:
-                    rx, ry, rz = _jac_add(rx, ry, rz, tx, ty, tz)
+            for x, y in points:
+                rx, ry, rz = _jac_madd(rx, ry, rz, x, y)
         return _jac_to_affine(rx, ry, rz)
 
     def _encode_value(self, xv) -> bytes:

@@ -272,13 +272,12 @@ class DemoServer:
 
     def __init__(self, params: SystemParams, key, *, mode: str = "pchs",
                  host: str = "127.0.0.1", port: int = DEFAULT_PORT,
-                 timeout: float = DEFAULT_TIMEOUT, rng=None) -> None:
+                 timeout: float = DEFAULT_TIMEOUT) -> None:
         self.spec = _direction(mode, Role.SERVER, key)
         self.params = params
         self.key = key
         self.mode = mode
         self.timeout = timeout
-        self.rng = rng
         self._sock = socket.create_server((host, port))
         self._sock.settimeout(timeout)
 
@@ -308,10 +307,11 @@ class DemoServer:
 
 def run_server(params: SystemParams, key, *, mode: str = "pchs",
                host: str = "127.0.0.1", port: int = DEFAULT_PORT,
-               timeout: float = DEFAULT_TIMEOUT, rng=None) -> DemoSession:
-    """Serve exactly one demo session; returns its transcript."""
+               timeout: float = DEFAULT_TIMEOUT) -> DemoSession:
+    """Serve exactly one demo session; returns its transcript.  The
+    server needs no randomness: unsigncryption is deterministic."""
     with DemoServer(params, key, mode=mode, host=host, port=port,
-                    timeout=timeout, rng=rng) as server:
+                    timeout=timeout) as server:
         return server.serve_one()
 
 

@@ -2,12 +2,14 @@
 
 import csv
 import io
+import json
+import os
 import random
 
 import pytest
 
-from hsc import keys
-from hsc.bench import CSV_COLUMNS, bench_run
+from hsc import cli, keys
+from hsc.bench import CSV_COLUMNS, bench_run, git_commit
 
 EXPECTED_OPS = [
     "scalar_mult", "group_add", "hash_to_scalar",
@@ -102,3 +104,58 @@ class TestMachineReadableRows:
     def test_human_table_renders(self, toy_report):
         text = toy_report.table()
         assert "scalar_mult" in text and "cphs_unsigncrypt" in text
+
+
+class TestJsonReport:
+    def test_json_holds_every_csv_row(self, toy_report):
+        data = json.loads(toy_report.to_json())
+        csv_rows = list(csv.DictReader(io.StringIO(toy_report.to_csv())))
+        json_rows = [{k: str(v) for k, v in row.items()} for row in data["rows"]]
+        assert json_rows == csv_rows
+        assert list(data["rows"][0]) == CSV_COLUMNS
+
+    def test_meta(self, toy_report):
+        meta = json.loads(toy_report.to_json())["meta"]
+        assert meta["cpu_count"] == os.cpu_count()
+        assert meta["python"].count(".") == 2
+        assert meta["commit"] is None or len(meta["commit"]) == 40
+
+    def test_cli_writes_json(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["setup", "--group", "toy-101", "--params", "p.hsc",
+                         "--out", "m.hsc"]) == 0
+        assert cli.main(["bench", "--params", "p.hsc", "--iters", "50",
+                         "--json", "bench.json"]) == 0
+        data = json.loads((tmp_path / "bench.json").read_text())
+        names = {(r["record"], r["name"]) for r in data["rows"]}
+        assert ("timing", "scalar_mult") in names
+        assert ("opcount", "cphs_unsigncrypt") in names
+
+
+class TestGitCommit:
+    COMMIT = "0123456789abcdef0123456789abcdef01234567"
+
+    def _repo(self, tmp_path, head):
+        git = tmp_path / ".git"
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "HEAD").write_text(head)
+        return tmp_path
+
+    def test_loose_ref_from_a_subdirectory(self, tmp_path):
+        root = self._repo(tmp_path, "ref: refs/heads/main\n")
+        (root / ".git" / "refs" / "heads" / "main").write_text(self.COMMIT + "\n")
+        (root / "src" / "pkg").mkdir(parents=True)
+        assert git_commit(root / "src" / "pkg") == self.COMMIT
+
+    def test_packed_ref(self, tmp_path):
+        root = self._repo(tmp_path, "ref: refs/heads/main\n")
+        (root / ".git" / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{'f' * 40} refs/heads/other\n{self.COMMIT} refs/heads/main\n")
+        assert git_commit(root) == self.COMMIT
+
+    def test_detached_head(self, tmp_path):
+        assert git_commit(self._repo(tmp_path, self.COMMIT + "\n")) == self.COMMIT
+
+    def test_unborn_branch(self, tmp_path):
+        assert git_commit(self._repo(tmp_path, "ref: refs/heads/main\n")) is None

@@ -1,12 +1,17 @@
 """Group layer: toy group vs bare modular arithmetic, the production
-curve vs an independent affine implementation, encodings, counters."""
+curve vs an independent affine implementation and vs the 4-bit ladder
+it used before GLV, encodings, counters."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hsc import group as group_module
 from hsc.group import (
+    GroupElement,
     NonCanonicalScalarError,
     OffGroupError,
     Secp256k1Group,
@@ -349,3 +354,281 @@ class TestRegistry:
             make_group("toy-12")
         with pytest.raises(ValueError):
             make_group("toy-abc")
+
+
+# -- the 4-bit fixed-window ladder the library used before GLV -----------------
+# Kept as the oracle for the GLV + wNAF + mixed-add path: Jacobian
+# coordinates throughout, full additions (add-2007-bl), 64 windows.
+
+_N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
+
+
+def _ladder_double(X1, Y1, Z1):
+    # dbl-2009-l, a = 0
+    A = X1 * X1 % _P
+    B = Y1 * Y1 % _P
+    C = B * B % _P
+    D = 2 * ((X1 + B) * (X1 + B) - A - C) % _P
+    E = 3 * A % _P
+    F = E * E % _P
+    X3 = (F - 2 * D) % _P
+    Y3 = (E * (D - X3) - 8 * C) % _P
+    return X3, Y3, 2 * Y1 * Z1 % _P
+
+
+def _jac_add(X1, Y1, Z1, X2, Y2, Z2):
+    # add-2007-bl; falls back to doubling when the inputs coincide
+    Z1Z1 = Z1 * Z1 % _P
+    Z2Z2 = Z2 * Z2 % _P
+    U1 = X1 * Z2Z2 % _P
+    U2 = X2 * Z1Z1 % _P
+    S1 = Y1 * Z2 * Z2Z2 % _P
+    S2 = Y2 * Z1 * Z1Z1 % _P
+    H = (U2 - U1) % _P
+    if H == 0:
+        if (S2 - S1) % _P == 0:
+            return _ladder_double(X1, Y1, Z1)
+        return 0, 1, 0
+    I = 4 * H * H % _P
+    J = H * I % _P
+    r = 2 * (S2 - S1) % _P
+    V = U1 * I % _P
+    X3 = (r * r - J - 2 * V) % _P
+    Y3 = (r * (V - X3) - 2 * S1 * J) % _P
+    Z3 = ((Z1 + Z2) * (Z1 + Z2) - Z1Z1 - Z2Z2) % _P * H % _P
+    return X3, Y3, Z3
+
+
+def _to_affine(X, Y, Z):
+    if Z % _P == 0:
+        return None
+    zi = pow(Z, -1, _P)
+    return X * zi * zi % _P, Y * zi * zi * zi % _P
+
+
+def ladder_mul(k, point):
+    """k*point by a 4-bit fixed window over a Jacobian table."""
+    k %= _N
+    if point is None or k == 0:
+        return None
+    x, y = point
+    tbl = [(0, 1, 0), (x, y, 1)]
+    for i in range(2, 16):
+        if i & 1:
+            tbl.append(_jac_add(*tbl[i - 1], x, y, 1))
+        else:
+            tbl.append(_ladder_double(*tbl[i >> 1]))
+    nibbles = []
+    while k:
+        nibbles.append(k & 15)
+        k >>= 4
+    rx, ry, rz = 0, 1, 0
+    for nib in reversed(nibbles):
+        if rz:
+            for _ in range(4):
+                rx, ry, rz = _ladder_double(rx, ry, rz)
+        if nib:
+            if rz == 0:
+                rx, ry, rz = tbl[nib]
+            else:
+                rx, ry, rz = _jac_add(rx, ry, rz, *tbl[nib])
+    return _to_affine(rx, ry, rz)
+
+
+_LAMBDA = group_module._LAMBDA
+_BETA = group_module._BETA
+_GEN = group_module._GX, group_module._GY
+
+EDGE_SCALARS = [0, 1, 2, _N - 1, _N - 2, _N // 2, _LAMBDA, _N - _LAMBDA,
+                2**128, 2**129 - 1]
+
+
+def _random_points(count, seed):
+    rng = random.Random(seed)
+    return [ladder_mul(rng.randrange(1, _N), _GEN) for _ in range(count)]
+
+
+def _run_concurrently(target, args_list):
+    """One thread per entry of args_list, switching every microsecond;
+    every thread must finish."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target, args=args) for args in args_list]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+def _jacobian(point, z):
+    """The affine point in Jacobian coordinates with the given Z."""
+    x, y = point
+    return x * z * z % _P, y * z * z * z % _P, z
+
+
+class TestGlvConstants:
+    def test_lambda_acts_as_beta_on_the_generator(self):
+        assert ladder_mul(_LAMBDA, _GEN) == (_BETA * _GEN[0] % _P, _GEN[1])
+
+    def test_lambda_acts_as_beta_on_a_random_point(self):
+        (X,) = _random_points(1, seed=11)
+        assert ladder_mul(_LAMBDA, X) == (_BETA * X[0] % _P, X[1])
+
+
+class TestGlvSplit:
+    def test_halves_recombine_and_stay_short(self):
+        rng = random.Random(129)
+        for k in EDGE_SCALARS + [rng.randrange(_N) for _ in range(1000)]:
+            k1, k2 = group_module._glv_split(k)
+            assert (k1 + k2 * _LAMBDA - k) % _N == 0
+            assert abs(k1) < 2**129 and abs(k2) < 2**129
+
+    def test_negative_halves_occur(self):
+        assert group_module._glv_split(_N - 1) == (-1, 0)
+        rng = random.Random(5)
+        halves = [group_module._glv_split(rng.randrange(_N)) for _ in range(200)]
+        assert any(k1 < 0 for k1, _ in halves)
+        assert any(k2 < 0 for _, k2 in halves)
+
+    def test_wnaf_digits(self):
+        rng = random.Random(6)
+        for k in [1, 2, 15, 16, 17, 31, 2**128] + [rng.getrandbits(129) for _ in range(200)]:
+            digits = group_module._wnaf(k)
+            assert sum(d << i for i, d in enumerate(digits)) == k
+            nonzero = [i for i, d in enumerate(digits) if d]
+            assert all(d % 2 == 1 and -15 <= d <= 15 for d in digits if d)
+            # at most one non-zero digit in any five consecutive positions
+            assert all(b - a >= 5 for a, b in zip(nonzero, nonzero[1:]))
+            assert digits[-1] > 0
+
+
+class TestMixedAdd:
+    def test_coinciding_inputs_double(self):
+        madd = group_module._jac_madd
+        for X in _random_points(4, seed=21):
+            doubled = madd(*_jacobian(X, 0xC0FFEE), *X)
+            assert _to_affine(*doubled) == affine_add(X, X)
+
+    def test_opposite_inputs_give_identity(self):
+        madd = group_module._jac_madd
+        for X in _random_points(4, seed=22):
+            assert madd(*_jacobian(X, 12345), X[0], _P - X[1])[2] == 0
+
+    def test_identity_plus_point(self):
+        (X,) = _random_points(1, seed=23)
+        assert group_module._jac_madd(0, 1, 0, *X) == (X[0], X[1], 1)
+
+    def test_distinct_inputs_match_affine(self):
+        X, Y = _random_points(2, seed=24)
+        assert _to_affine(*group_module._jac_madd(*_jacobian(X, 99), *Y)) == affine_add(X, Y)
+
+
+class TestOddMultiplesTable:
+    def test_entries_are_odd_multiples(self):
+        group_module._odd_multiples.cache_clear()
+        for X in [_GEN] + _random_points(2, seed=31):
+            table, table_lambda = group_module._odd_multiples(X)
+            assert list(table) == [ladder_mul(m, X) for m in range(1, 16, 2)]
+            assert list(table_lambda) == [ladder_mul(m * _LAMBDA, X) for m in range(1, 16, 2)]
+
+    def test_cache_is_bounded_and_hit(self, secp):
+        cache = group_module._odd_multiples
+        assert cache.cache_info().maxsize is not None
+        cache.cache_clear()
+        X = 7 * secp.generator()
+        for k in (3, 5, 7):
+            k * X
+        info = cache.cache_info()
+        assert info.misses == 2  # the generator (for 7*G) and X
+        assert info.hits == 2
+
+
+class TestGlvAgainstLadder:
+    def _bases(self, secp, prod):
+        # -G shares its x with G, so a table cached under x alone fails
+        return ([_GEN, (_GEN[0], _P - _GEN[1]), prod.params.Ppub.value]
+                + _random_points(3, seed=41))
+
+    def test_random_pairs_cold_and_warm(self, secp, prod):
+        rng = random.Random(42)
+        for X in self._bases(secp, prod):
+            for _ in range(4):
+                k = rng.randrange(_N)
+                expected = ladder_mul(k, X)
+                group_module._odd_multiples.cache_clear()
+                assert secp._mul_value(k, X) == expected  # cold: builds the table
+                assert secp._mul_value(k, X) == expected  # warm: cached table
+
+    @pytest.mark.parametrize("k", EDGE_SCALARS)
+    def test_edge_scalars(self, secp, prod, k):
+        for X in self._bases(secp, prod):
+            assert (k * GroupElement(secp, X)).value == ladder_mul(k, X)
+
+    def test_identity_point(self, secp):
+        for k in EDGE_SCALARS:
+            assert (k * secp.identity()).is_identity()
+
+    def test_threads_share_points(self, secp, prod):
+        bases = self._bases(secp, prod)
+        rng = random.Random(44)
+        work = [[(rng.randrange(_N), X) for X in bases for _ in range(3)] for _ in range(2)]
+        expected = [[ladder_mul(k, X) for k, X in jobs] for jobs in work]
+        results = [None, None]
+        start = threading.Barrier(2)
+
+        def run(slot):
+            start.wait(timeout=10)
+            results[slot] = [secp._mul_value(k, X) for k, X in work[slot]]
+
+        group_module._odd_multiples.cache_clear()
+        _run_concurrently(run, [(0,), (1,)])
+        assert results == expected
+
+
+class TestCountersAcrossThreads:
+    def test_each_thread_counts_its_own(self):
+        toy = ToyGroup(101)
+        X = toy.element(3)
+        plans = {"a": (300, 0), "b": (500, 200)}  # (mults, adds) per scope
+        seen = {name: [] for name in plans}
+        start = threading.Barrier(len(plans))
+
+        def run(name):
+            mults, adds = plans[name]
+            start.wait(timeout=10)
+            for _ in range(20):
+                with toy.counting() as c:
+                    for _ in range(mults):
+                        5 * X
+                    for _ in range(adds):
+                        X + X
+                seen[name].append((c.scalar_mults, c.group_adds))
+
+        _run_concurrently(run, [(name,) for name in plans])
+        for name, plan in plans.items():
+            assert seen[name] == [plan] * 20
+
+    def test_other_threads_uncounted_work_stays_out(self):
+        toy = ToyGroup(13)
+        X = toy.element(2)
+        stop = threading.Event()
+
+        def noise():
+            while not stop.is_set():
+                2 * X
+
+        worker = threading.Thread(target=noise)
+        with toy.counting() as c:
+            worker.start()
+            try:
+                for _ in range(2000):
+                    X + X
+            finally:
+                stop.set()
+                worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert (c.scalar_mults, c.group_adds) == (0, 2000)
