@@ -35,7 +35,7 @@ from .group import (
     ToyGroup,
     make_group,
 )
-from .hashing import HashConfig, HashOracles, ScriptedOracle
+from .hashing import HashConfig, HashOracles
 from .keys import (
     ClcKeyPair,
     ClcPartialKey,
@@ -66,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GroupDescriptor", "GroupElement", "OpCounter", "Scalar",
     "Secp256k1Group", "ToyGroup", "make_group",
-    "HashConfig", "HashOracles", "ScriptedOracle",
+    "HashConfig", "HashOracles",
     "ClcKeyPair", "ClcPartialKey", "ClcPublicKey", "MasterKey",
     "PkiKeyPair", "SystemParams",
     "clc_extract_partial", "clc_finalize", "clc_finalize_random", "clc_keygen",

@@ -1,10 +1,11 @@
 """Microbenchmark harness: wall times and measured operation counts.
 
-Times the primitive operations (scalar multiplication, group addition,
-hash-to-scalar) and the four full algorithms plus aggregate key
-generation, each over fresh random inputs pre-generated outside the timed
-region.  Operation counts come from scoped counters around one invocation
-of each algorithm -- measured, never hardcoded.
+Times the primitive operations (scalar multiplication of pool points and
+of the fixed base P, group addition, hash-to-scalar) and the four full
+algorithms plus aggregate key generation, each over fresh random inputs
+pre-generated outside the timed region.  Operation counts come from
+scoped counters around one invocation of each algorithm -- measured,
+never hardcoded.
 
 Absolute times are hardware-dependent and not comparable across machines;
 consumers should assert orderings and ratios only.  The machine-readable
@@ -179,6 +180,8 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
         raise ValueError("iterations must be >= 1")
     if algo_iterations is None:
         algo_iterations = max(1, iterations // 100)
+    if algo_iterations < 1:
+        raise ValueError("algo_iterations must be >= 1")
     rng = rng or _system_rng
     group = params.group
     report = BenchReport(group_name=group.descriptor.name)
@@ -191,8 +194,12 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
         return pool[i % len(pool)]
 
     scalars = [group.random_scalar(rng) for _ in range(iterations)]
+    # the pool holds more points than the odd-multiples cache, so this row
+    # times the uncached path; the fixed base P takes the cached one
     report.timings.append(_summary("scalar_mult", _time_loop(
         group.mul, [(scalars[i], pick(i)) for i in range(iterations)])))
+    report.timings.append(_summary("scalar_mult_fixed", _time_loop(
+        group.mul, [(k, params.P) for k in scalars])))
 
     report.timings.append(_summary("group_add", _time_loop(
         group.add, [(pick(i), pick(i + 1)) for i in range(iterations)])))

@@ -11,10 +11,6 @@ Hash-to-scalar squeezes twice the scalar width, reduces mod q (bias is
 negligible at that width), and retries with an appended counter byte in
 the rare case the reduction lands on zero -- outputs are always in
 [1, q-1].
-
-:class:`ScriptedOracle` is a drop-in stand-in whose answers come from
-finite lookup tables.  Deterministic tests script every query they expect;
-anything unscripted raises instead of silently hashing.
 """
 
 from __future__ import annotations
@@ -32,10 +28,6 @@ _XOF_ALGORITHMS = {
 
 class MessageTooLongError(ValueError):
     """Input exceeds the negotiated maximum message length."""
-
-
-class UnscriptedQueryError(LookupError):
-    """A scripted oracle was asked something its tables do not cover."""
 
 
 @dataclass(frozen=True)
@@ -122,52 +114,3 @@ class HashOracles:
             )
         self.group.count_hash_call()
         return self._xof(self.h3_preimage(R2)).digest(out_len) if out_len else b""
-
-
-class ScriptedOracle:
-    """Hash oracle whose answers are pre-programmed lookup tables.
-
-    Construct with the queries a test expects, e.g.::
-
-        ScriptedOracle(group,
-                       h1={(b"server", T): 5},
-                       h2={(m, R1): 9},
-                       h3={R2: bytes([0b0110])})
-
-    Any query outside the tables raises UnscriptedQueryError, so a test
-    cannot accidentally depend on real hashing.
-    """
-
-    def __init__(self, group: Group, h1: dict | None = None,
-                 h2: dict | None = None, h3: dict | None = None) -> None:
-        self.group = group
-        enc = group.encode_element
-        self.h1_map = {(i, enc(T)): v for (i, T), v in (h1 or {}).items()}
-        self.h2_map = {(m, enc(R1)): v for (m, R1), v in (h2 or {}).items()}
-        self.h3_map = {enc(R2): mask for R2, mask in (h3 or {}).items()}
-
-    def h1(self, identity: bytes, T: GroupElement) -> Scalar:
-        self.group.count_hash_call()
-        key = (identity, self.group.encode_element(T))
-        if key not in self.h1_map:
-            raise UnscriptedQueryError(f"h1 not scripted for {key!r}")
-        return self.group.scalar(self.h1_map[key])
-
-    def h2(self, message: bytes, R1: GroupElement) -> Scalar:
-        self.group.count_hash_call()
-        key = (message, self.group.encode_element(R1))
-        if key not in self.h2_map:
-            raise UnscriptedQueryError(f"h2 not scripted for {key!r}")
-        return self.group.scalar(self.h2_map[key])
-
-    def h3(self, R2: GroupElement, out_len: int) -> bytes:
-        self.group.count_hash_call()
-        key = self.group.encode_element(R2)
-        if key not in self.h3_map:
-            raise UnscriptedQueryError(f"h3 not scripted for {key!r}")
-        mask = self.h3_map[key]
-        if len(mask) != out_len:
-            raise UnscriptedQueryError(
-                f"h3 scripted mask is {len(mask)} bytes, query wants {out_len}"
-            )
-        return mask

@@ -44,7 +44,14 @@ class DegenerateKeyError(ValueError):
 class SystemParams:
     """Public parameters: the group, its generator P, the KGC public key
     Ppub, the message cap n (bits), the security parameter l (bits), and
-    the hash configuration.  Immutable by convention once published."""
+    the hash configuration.  Immutable by convention once published.
+
+    No computation reads `l`.  It stays because it is 2 bytes of the
+    params file; dropping it needs a codec `FORMAT_VERSION` bump.
+
+    `oracles`, built on first use, is the one place the algorithms get
+    H1-H3 from; assigning an object with the same h1/h2/h3 methods
+    replaces all three."""
 
     group: Group
     P: GroupElement
@@ -154,8 +161,6 @@ def clc_extract_partial(
     master: MasterKey,
     identity: bytes,
     rng=None,
-    *,
-    oracles: Optional[HashOracles] = None,
 ) -> ClcPartialKey:
     """KGC role: issue the partial private key (d, T) for `identity`.
 
@@ -163,26 +168,19 @@ def clc_extract_partial(
     d = t + s*γ reduces to zero, so d is always invertible.
     """
     rng = rng or _system_rng
-    oracles = oracles or params.oracles
     while True:
         t = params.group.random_scalar(rng)
         T = t * params.P
-        gamma = oracles.h1(identity, T)
+        gamma = params.oracles.h1(identity, T)
         d = t + master.s * gamma
         if not d.is_zero():
             return ClcPartialKey(d=d, T=T)
 
 
-def verify_partial_key(
-    params: SystemParams,
-    identity: bytes,
-    partial: ClcPartialKey,
-    *,
-    oracles: Optional[HashOracles] = None,
-) -> bool:
+def verify_partial_key(params: SystemParams, identity: bytes,
+                       partial: ClcPartialKey) -> bool:
     """True iff d*P == T + H1(identity, T)*Ppub."""
-    oracles = oracles or params.oracles
-    gamma = oracles.h1(identity, partial.T)
+    gamma = params.oracles.h1(identity, partial.T)
     return partial.d * params.P == partial.T + gamma * params.Ppub
 
 
@@ -191,8 +189,6 @@ def clc_finalize(
     identity: bytes,
     partial: ClcPartialKey,
     x_c: Scalar,
-    *,
-    oracles: Optional[HashOracles] = None,
 ) -> ClcKeyPair:
     """User role: combine the KGC partial key with the secret value x_c.
 
@@ -204,7 +200,7 @@ def clc_finalize(
     # the authenticity check is ours, not part of the scheme's published
     # key-generation cost, so it runs outside any counting scope
     with params.group.counter_paused():
-        if not verify_partial_key(params, identity, partial, oracles=oracles):
+        if not verify_partial_key(params, identity, partial):
             raise PartialKeyError(f"partial key fails authenticity for {identity!r}")
     if (x_c + partial.d).is_zero():
         raise DegenerateKeyError("x_c + d == 0; resample the secret value")

@@ -6,21 +6,20 @@ CPHS: a certificateless sender signcrypts to a PKI receiver.
 Both produce the triple sigma = (c, u, V): the XOR-masked message, a
 scalar, and a group element.  Unsigncryption either returns the plaintext
 or raises :class:`RejectedCiphertext` -- the reject path never exposes
-partial plaintext.
+partial plaintext.  H1-H3 always come from ``params.oracles``.
 
-Shared skeleton (k fresh per message, P the system generator):
+Shared skeleton (k fresh per message, P the system generator), written
+once in :func:`_seal` and :func:`_open`:
 
     R1 = k*P;  h = H2(m, R1);  R2 = h*P;  c = m XOR H3(R2, |m|)
 
 PCHS then binds the sender via u = (h-k)*x_p and the receiver via
 V = k*PK_c1 + T + γ*Ppub (γ = H1(receiver_id, T)); CPHS binds the sender
-via u = (h-k)/(x_c+d) and the receiver via V = k*PK_p.
-
-Verification here checks R2 == h*P.  The definitional acceptance test is
-R1 == h*P - u*X (X the direction's public combination), but the receiver
-constructs R2 = R1 + u*X, so the two predicates are equal term by term;
-checking R2 saves one group subtraction.  Pass ``literal_check=True`` to
-run the definitional form instead (same cost in scalar multiplications).
+via u = (h-k)/(x_c+d) and the receiver via V = k*PK_p.  The receiver
+recovers R1 from V, rebuilds R2 = R1 + u*X (X = PK_p for PCHS,
+X = PK_c1 + T + γ*Ppub for CPHS) and accepts iff R2 == H2(m, R1)*P.
+That is term for term the definitional R1 == h*P - u*X, one group
+subtraction cheaper; the tests check that the two agree.
 
 Operation counts per call, as measured by a surrounding counting scope:
 keygen-attributed γ recomputation excluded, signcrypt costs 4S+2H (PCHS)
@@ -32,10 +31,8 @@ from __future__ import annotations
 import enum
 import secrets
 from dataclasses import dataclass
-from typing import Optional
 
 from .group import GroupElement, Scalar
-from .hashing import HashOracles
 from .keys import ClcKeyPair, ClcPublicKey, PkiKeyPair, SystemParams
 
 _system_rng = secrets.SystemRandom()
@@ -75,13 +72,44 @@ def _xor(data: bytes, mask: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(data, mask, strict=True))
 
 
-def _check_message(params: SystemParams, m: bytes) -> None:
+def _seal(params: SystemParams, m: bytes, rng) -> tuple[Scalar, Scalar, bytes]:
+    """Check the message, then R1 = k*P, h = H2(m, R1), c = m XOR
+    H3(h*P); returns (k, h, c)."""
     if len(m) == 0:
         raise MessageSizeError("refusing to signcrypt an empty message")
     if len(m) > params.max_message_bytes:
         raise MessageSizeError(
             f"message is {len(m)} bytes, cap is {params.max_message_bytes}"
         )
+    k = params.group.random_scalar(rng or _system_rng)
+    h = params.oracles.h2(m, k * params.P)
+    c = _xor(m, params.oracles.h3(h * params.P, len(m)))
+    return k, h, c
+
+
+def _check_ciphertext(params: SystemParams, sigma: Ciphertext,
+                      direction: Direction) -> None:
+    if sigma.direction != direction:
+        raise RejectedCiphertext(f"ciphertext direction is not {direction.name}")
+    if not 0 < len(sigma.c) <= params.max_message_bytes:
+        raise RejectedCiphertext("ciphertext length out of range for these params")
+
+
+def _open(params: SystemParams, sigma: Ciphertext, R1: GroupElement,
+          X: GroupElement) -> bytes:
+    """R2 = R1 + u*X, unmask, and return m iff R2 == H2(m, R1)*P."""
+    R2 = R1 + sigma.u * X
+    m = _xor(sigma.c, params.oracles.h3(R2, len(sigma.c)))
+    if R2 != params.oracles.h2(m, R1) * params.P:
+        raise RejectedCiphertext("verification equation failed")
+    return m
+
+
+def _gamma(params: SystemParams, identity: bytes, pub: ClcPublicKey) -> Scalar:
+    # γ belongs to the certificateless key's distribution in the cost
+    # accounting, so it is not counted here
+    with params.group.counter_paused():
+        return params.oracles.h1(identity, pub.T)
 
 
 def pchs_signcrypt(
@@ -91,8 +119,6 @@ def pchs_signcrypt(
     receiver_pub: ClcPublicKey,
     m: bytes,
     rng=None,
-    *,
-    oracles: Optional[HashOracles] = None,
 ) -> Ciphertext:
     """PKI sender -> certificateless receiver.
 
@@ -100,17 +126,8 @@ def pchs_signcrypt(
     γ = H1(id, T) is recomputed here on every call.  Costs 4 scalar
     multiplications and 2 counted hash calls.
     """
-    _check_message(params, m)
-    rng = rng or _system_rng
-    oracles = oracles or params.oracles
-    # γ belongs to the receiver's key distribution in the cost accounting
-    with params.group.counter_paused():
-        gamma = oracles.h1(receiver_id, receiver_pub.T)
-    k = params.group.random_scalar(rng)
-    R1 = k * params.P
-    h = oracles.h2(m, R1)
-    R2 = h * params.P
-    c = _xor(m, oracles.h3(R2, len(m)))
+    k, h, c = _seal(params, m, rng)
+    gamma = _gamma(params, receiver_id, receiver_pub)
     u = (h - k) * sender.x_p
     V = k * receiver_pub.PK_c1 + receiver_pub.T + gamma * params.Ppub
     return Ciphertext(c=c, u=u, V=V, direction=Direction.PCHS)
@@ -121,27 +138,12 @@ def pchs_unsigncrypt(
     receiver: ClcKeyPair,
     sender_pub: GroupElement,
     sigma: Ciphertext,
-    *,
-    oracles: Optional[HashOracles] = None,
-    literal_check: bool = False,
 ) -> bytes:
     """Certificateless receiver side of PCHS; returns m or raises
     RejectedCiphertext.  Costs 4 scalar multiplications, 2 hash calls."""
-    if sigma.direction != Direction.PCHS:
-        raise RejectedCiphertext("ciphertext direction is not PCHS")
-    if not 0 < len(sigma.c) <= params.max_message_bytes:
-        raise RejectedCiphertext("ciphertext length out of range for these params")
-    oracles = oracles or params.oracles
+    _check_ciphertext(params, sigma, Direction.PCHS)
     R1 = receiver.x_c.invert() * (sigma.V - receiver.d * params.P)
-    uPK = sigma.u * sender_pub
-    R2 = R1 + uPK
-    m = _xor(sigma.c, oracles.h3(R2, len(sigma.c)))
-    h = oracles.h2(m, R1)
-    hP = h * params.P
-    accepted = (R1 == hP - uPK) if literal_check else (R2 == hP)
-    if not accepted:
-        raise RejectedCiphertext("verification equation failed")
-    return m
+    return _open(params, sigma, R1, sender_pub)
 
 
 def cphs_signcrypt(
@@ -150,22 +152,13 @@ def cphs_signcrypt(
     receiver_pub: GroupElement,
     m: bytes,
     rng=None,
-    *,
-    oracles: Optional[HashOracles] = None,
 ) -> Ciphertext:
     """Certificateless sender -> PKI receiver (public key PK_p).
 
     Costs 3 scalar multiplications and 2 hash calls.  The divisor
     x_c + d is nonzero for every key clc_finalize hands out.
     """
-    _check_message(params, m)
-    rng = rng or _system_rng
-    oracles = oracles or params.oracles
-    k = params.group.random_scalar(rng)
-    R1 = k * params.P
-    h = oracles.h2(m, R1)
-    R2 = h * params.P
-    c = _xor(m, oracles.h3(R2, len(m)))
+    k, h, c = _seal(params, m, rng)
     u = (h - k) * (sender.x_c + sender.d).invert()
     V = k * receiver_pub
     return Ciphertext(c=c, u=u, V=V, direction=Direction.CPHS)
@@ -177,27 +170,11 @@ def cphs_unsigncrypt(
     sender_id: bytes,
     sender_pub: ClcPublicKey,
     sigma: Ciphertext,
-    *,
-    oracles: Optional[HashOracles] = None,
-    literal_check: bool = False,
 ) -> bytes:
     """PKI receiver side of CPHS; returns m or raises RejectedCiphertext.
     Costs 4 scalar multiplications, 2 hash calls (γ excluded as above)."""
-    if sigma.direction != Direction.CPHS:
-        raise RejectedCiphertext("ciphertext direction is not CPHS")
-    if not 0 < len(sigma.c) <= params.max_message_bytes:
-        raise RejectedCiphertext("ciphertext length out of range for these params")
-    oracles = oracles or params.oracles
-    with params.group.counter_paused():
-        gamma = oracles.h1(sender_id, sender_pub.T)
+    _check_ciphertext(params, sigma, Direction.CPHS)
+    gamma = _gamma(params, sender_id, sender_pub)
     R1 = receiver.x_p * sigma.V
     Q = sender_pub.PK_c1 + sender_pub.T + gamma * params.Ppub
-    uQ = sigma.u * Q
-    R2 = R1 + uQ
-    m = _xor(sigma.c, oracles.h3(R2, len(sigma.c)))
-    h = oracles.h2(m, R1)
-    hP = h * params.P
-    accepted = (R1 == hP - uQ) if literal_check else (R2 == hP)
-    if not accepted:
-        raise RejectedCiphertext("verification equation failed")
-    return m
+    return _open(params, sigma, R1, Q)

@@ -70,18 +70,18 @@ def test_c1_worked_toy_vectors(toy13):
     assert toy13.pki.PK_p.value == expect["PK_p"] == 8
 
     sigma = pchs_signcrypt(toy13.params, toy13.pki, b"server", toy13.clc.public,
-                           toy13.m, FixedRng(7), oracles=toy13.oracle)
+                           toy13.m, FixedRng(7))
     assert (sigma.c, int(sigma.u), sigma.V.value) == expect["pchs"] \
         == (bytes([0b1100]), 10, 7)
-    assert pchs_unsigncrypt(toy13.params, toy13.clc, toy13.pki.PK_p, sigma,
-                            oracles=toy13.oracle) == toy13.m
+    assert pchs_unsigncrypt(toy13.params, toy13.clc, toy13.pki.PK_p,
+                            sigma) == toy13.m
 
     sigma = cphs_signcrypt(toy13.params, toy13.clc, toy13.pki.PK_p, toy13.m,
-                           FixedRng(7), oracles=toy13.oracle)
+                           FixedRng(7))
     assert (sigma.c, int(sigma.u), sigma.V.value) == expect["cphs"] \
         == (bytes([0b1100]), 8, 4)
     assert cphs_unsigncrypt(toy13.params, toy13.pki, b"server", toy13.clc.public,
-                            sigma, oracles=toy13.oracle) == toy13.m
+                            sigma) == toy13.m
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

@@ -12,7 +12,7 @@ from hsc import cli, keys
 from hsc.bench import CSV_COLUMNS, bench_run, git_commit
 
 EXPECTED_OPS = [
-    "scalar_mult", "group_add", "hash_to_scalar",
+    "scalar_mult", "scalar_mult_fixed", "group_add", "hash_to_scalar",
     "keygen", "pchs_signcrypt", "pchs_unsigncrypt",
     "cphs_signcrypt", "cphs_unsigncrypt",
 ]
@@ -42,6 +42,12 @@ class TestReportShape:
         params, _ = keys.setup("toy-13", rng=random.Random(1))
         with pytest.raises(ValueError):
             bench_run(params, iterations=0)
+
+    @pytest.mark.parametrize("algo_iterations", [0, -1])
+    def test_rejects_nonpositive_algo_iterations(self, algo_iterations):
+        params, _ = keys.setup("toy-13", rng=random.Random(1))
+        with pytest.raises(ValueError, match="algo_iterations must be >= 1"):
+            bench_run(params, 10, algo_iterations=algo_iterations)
 
 
 class TestToyGroupKeys:

@@ -4,13 +4,9 @@ the XOF prefix property, and the scripted stand-in."""
 import pytest
 
 from hsc.group import ToyGroup
-from hsc.hashing import (
-    HashConfig,
-    HashOracles,
-    MessageTooLongError,
-    ScriptedOracle,
-    UnscriptedQueryError,
-)
+from hsc.hashing import HashConfig, HashOracles, MessageTooLongError
+
+from conftest import UnscriptedQueryError
 
 
 @pytest.fixture

@@ -7,11 +7,10 @@ import pytest
 
 from hsc import codec, keys
 from hsc.group import ToyGroup
-from hsc.hashing import ScriptedOracle
 from hsc.keys import DegenerateKeyError, PartialKeyError
 from hsc.signcryption import pchs_signcrypt
 
-from conftest import FixedRng
+from conftest import FixedRng, ScriptedOracle
 
 
 class TestSetup:
@@ -63,17 +62,15 @@ class TestPartialExtract:
     def test_validity_equation_scripted(self, toy13):
         # d*P = 4, T + gamma*Ppub = 2 + 5*3 = 17 = 4 mod 13
         assert (toy13.partial.d * toy13.params.P).value == 4
-        assert keys.verify_partial_key(toy13.params, b"server", toy13.partial,
-                                       oracles=toy13.oracle)
+        assert keys.verify_partial_key(toy13.params, b"server", toy13.partial)
 
     def test_zero_d_resampled(self):
         # s=3; t=1 with gamma=4 gives d = 1 + 12 = 0, forcing a resample
         toy = ToyGroup(13)
         params, master = keys.setup(toy, n=8, rng=FixedRng(3))
         el = toy.element
-        oracle = ScriptedOracle(toy, h1={(b"u", el(1)): 4, (b"u", el(2)): 5})
-        partial = keys.clc_extract_partial(params, master, b"u",
-                                           FixedRng(1, 2), oracles=oracle)
+        params.oracles = ScriptedOracle(toy, h1={(b"u", el(1)): 4, (b"u", el(2)): 5})
+        partial = keys.clc_extract_partial(params, master, b"u", FixedRng(1, 2))
         assert partial.T.value == 2
         assert int(partial.d) == 4
         assert not partial.d.is_zero()
@@ -109,20 +106,18 @@ class TestClcFinalize:
     def test_degenerate_secret_rejected(self, toy13):
         x_c = toy13.group.scalar(13 - 4)  # q - d
         with pytest.raises(DegenerateKeyError):
-            keys.clc_finalize(toy13.params, b"server", toy13.partial, x_c,
-                              oracles=toy13.oracle)
+            keys.clc_finalize(toy13.params, b"server", toy13.partial, x_c)
 
     def test_tampered_partial_rejected(self, toy13):
         bad = keys.ClcPartialKey(d=toy13.partial.d + toy13.group.scalar(1),
                                  T=toy13.partial.T)
         with pytest.raises(PartialKeyError):
-            keys.clc_finalize(toy13.params, b"server", bad, toy13.group.scalar(6),
-                              oracles=toy13.oracle)
+            keys.clc_finalize(toy13.params, b"server", bad, toy13.group.scalar(6))
 
     def test_zero_secret_rejected(self, toy13):
         with pytest.raises(ValueError):
             keys.clc_finalize(toy13.params, b"server", toy13.partial,
-                              toy13.group.scalar(0), oracles=toy13.oracle)
+                              toy13.group.scalar(0))
 
     def test_public_key_equation(self, prod):
         assert prod.bob.PK_c1 == prod.bob.x_c * prod.params.P

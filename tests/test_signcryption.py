@@ -1,6 +1,7 @@
 """Both signcryption directions: worked vectors, roundtrips, the
 derivation chains, tampering, and edge cases."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from hsc import codec, keys
 from hsc.group import DecodeError, ToyGroup
-from hsc.hashing import ScriptedOracle
 from hsc.signcryption import (
     Ciphertext,
     Direction,
@@ -20,52 +20,36 @@ from hsc.signcryption import (
     pchs_unsigncrypt,
 )
 
-from conftest import FixedRng, RecordingRng
+from conftest import FixedRng, RecordingRng, ScriptedOracle
 
 
 class TestWorkedVectors:
     def test_pchs(self, toy13):
         sigma = pchs_signcrypt(toy13.params, toy13.pki, b"server",
-                               toy13.clc.public, toy13.m, FixedRng(toy13.k),
-                               oracles=toy13.oracle)
+                               toy13.clc.public, toy13.m, FixedRng(toy13.k))
         assert (sigma.c, int(sigma.u), sigma.V.value) == toy13.pchs_sigma
         assert sigma.direction == Direction.PCHS
-        out = pchs_unsigncrypt(toy13.params, toy13.clc, toy13.pki.PK_p, sigma,
-                               oracles=toy13.oracle)
-        assert out == toy13.m
-
-    def test_pchs_literal_check_agrees(self, toy13):
-        sigma = pchs_signcrypt(toy13.params, toy13.pki, b"server",
-                               toy13.clc.public, toy13.m, FixedRng(toy13.k),
-                               oracles=toy13.oracle)
-        out = pchs_unsigncrypt(toy13.params, toy13.clc, toy13.pki.PK_p, sigma,
-                               oracles=toy13.oracle, literal_check=True)
+        out = pchs_unsigncrypt(toy13.params, toy13.clc, toy13.pki.PK_p, sigma)
         assert out == toy13.m
 
     def test_cphs(self, toy13):
         sigma = cphs_signcrypt(toy13.params, toy13.clc, toy13.pki.PK_p,
-                               toy13.m, FixedRng(toy13.k), oracles=toy13.oracle)
+                               toy13.m, FixedRng(toy13.k))
         assert (sigma.c, int(sigma.u), sigma.V.value) == toy13.cphs_sigma
         assert sigma.direction == Direction.CPHS
         out = cphs_unsigncrypt(toy13.params, toy13.pki, b"server",
-                               toy13.clc.public, sigma, oracles=toy13.oracle)
-        assert out == toy13.m
-        out = cphs_unsigncrypt(toy13.params, toy13.pki, b"server",
-                               toy13.clc.public, sigma, oracles=toy13.oracle,
-                               literal_check=True)
+                               toy13.clc.public, sigma)
         assert out == toy13.m
 
     def test_byte_identical_under_scripted_randomness(self, toy13):
         def pchs_once():
             sigma = pchs_signcrypt(toy13.params, toy13.pki, b"server",
-                                   toy13.clc.public, toy13.m, FixedRng(toy13.k),
-                                   oracles=toy13.oracle)
+                                   toy13.clc.public, toy13.m, FixedRng(toy13.k))
             return codec.encode_ciphertext(sigma)
 
         def cphs_once():
             sigma = cphs_signcrypt(toy13.params, toy13.clc, toy13.pki.PK_p,
-                                   toy13.m, FixedRng(toy13.k),
-                                   oracles=toy13.oracle)
+                                   toy13.m, FixedRng(toy13.k))
             return codec.encode_ciphertext(sigma)
 
         assert pchs_once() == pchs_once()
@@ -76,23 +60,23 @@ class TestHashEqualsNonceEdge:
     def test_u_zero_roundtrips(self, toy13):
         # script h == k: u = 0 and R2 = R1, still a valid ciphertext
         el = toy13.group.element
-        oracle = ScriptedOracle(
+        params = dataclasses.replace(toy13.params)
+        params.oracles = ScriptedOracle(
             toy13.group,
             h1={(b"server", el(2)): 5},
             h2={(toy13.m, el(7)): 7},
             h3={el(7): bytes([0b0110])},
         )
-        sigma = pchs_signcrypt(toy13.params, toy13.pki, b"server",
-                               toy13.clc.public, toy13.m, FixedRng(7),
-                               oracles=oracle)
+        sigma = pchs_signcrypt(params, toy13.pki, b"server",
+                               toy13.clc.public, toy13.m, FixedRng(7))
         assert sigma.u.is_zero()
-        assert pchs_unsigncrypt(toy13.params, toy13.clc, toy13.pki.PK_p,
-                                sigma, oracles=oracle) == toy13.m
-        sigma = cphs_signcrypt(toy13.params, toy13.clc, toy13.pki.PK_p,
-                               toy13.m, FixedRng(7), oracles=oracle)
+        assert pchs_unsigncrypt(params, toy13.clc, toy13.pki.PK_p,
+                                sigma) == toy13.m
+        sigma = cphs_signcrypt(params, toy13.clc, toy13.pki.PK_p,
+                               toy13.m, FixedRng(7))
         assert sigma.u.is_zero()
-        assert cphs_unsigncrypt(toy13.params, toy13.pki, b"server",
-                                toy13.clc.public, sigma, oracles=oracle) == toy13.m
+        assert cphs_unsigncrypt(params, toy13.pki, b"server",
+                                toy13.clc.public, sigma) == toy13.m
 
 
 class TestFreshNonce:
@@ -202,14 +186,82 @@ class TestTampering:
             bad = Ciphertext(sigma.c, sigma.u, sigma.V + params.P, sigma.direction)
             cphs_unsigncrypt(params, prod.alice, prod.identity, prod.bob.public, bad)
 
-    def test_literal_check_rejects_tampering_too(self, prod, rng):
-        params = prod.params
-        sigma = pchs_signcrypt(params, prod.alice, prod.identity,
-                               prod.bob.public, b"payload", rng)
-        bad = Ciphertext(sigma.c, sigma.u, sigma.V + params.P, sigma.direction)
-        with pytest.raises(RejectedCiphertext):
-            pchs_unsigncrypt(params, prod.bob, prod.alice.PK_p, bad,
-                             literal_check=True)
+
+def definitional_accepts(params, pki, clc, sigma):
+    """The scheme's acceptance test as written, R1 == h*P - u*X with
+    h = H2(m, R1), computed here from the receiver's secrets: X is the
+    sender's public combination (PK_p for PCHS, PK_c1 + T + γ*Ppub for
+    CPHS) and m is c unmasked under R2 = R1 + u*X."""
+    if sigma.direction == Direction.PCHS:
+        R1 = clc.x_c.invert() * (sigma.V - clc.d * params.P)
+        X = pki.PK_p
+    else:
+        R1 = pki.x_p * sigma.V
+        gamma = params.oracles.h1(clc.identity, clc.T)
+        X = clc.PK_c1 + clc.T + gamma * params.Ppub
+    mask = params.oracles.h3(R1 + sigma.u * X, len(sigma.c))
+    m = bytes(a ^ b for a, b in zip(sigma.c, mask))
+    return R1 == params.oracles.h2(m, R1) * params.P - sigma.u * X
+
+
+def unsigncrypt_accepts(params, pki, clc, sigma):
+    try:
+        if sigma.direction == Direction.PCHS:
+            pchs_unsigncrypt(params, clc, pki.PK_p, sigma)
+        else:
+            cphs_unsigncrypt(params, pki, clc.identity, clc.public, sigma)
+    except RejectedCiphertext:
+        return False
+    return True
+
+
+class TestDefinitionalCheck:
+    """Unsigncrypt checks R2 == h*P; it must accept exactly the
+    ciphertexts that pass the definitional R1 == h*P - u*X."""
+
+    def test_toy13_worked_vectors_every_u_and_V(self, toy13):
+        # the worked-vector oracle, extended to answer every query a
+        # tampered ciphertext can raise on the 1-byte, q=13 toy setup
+        group, el = toy13.group, toy13.group.element
+        h2 = {(bytes([b]), el(j)): (b + 3 * j) % 13 for b in range(256) for j in range(13)}
+        h2[(toy13.m, el(7))] = 9
+        h3 = {el(j): bytes([37 * j % 256]) for j in range(13)}
+        h3[el(9)] = bytes([0b0110])
+        params = dataclasses.replace(toy13.params)
+        params.oracles = ScriptedOracle(group, h1={(b"server", el(2)): 5}, h2=h2, h3=h3)
+        honest = [
+            pchs_signcrypt(params, toy13.pki, b"server", toy13.clc.public,
+                           toy13.m, FixedRng(toy13.k)),
+            cphs_signcrypt(params, toy13.clc, toy13.pki.PK_p, toy13.m,
+                           FixedRng(toy13.k)),
+        ]
+        for sigma in honest:
+            assert definitional_accepts(params, toy13.pki, toy13.clc, sigma)
+            assert unsigncrypt_accepts(params, toy13.pki, toy13.clc, sigma)
+            rejected = 0
+            for u in range(13):
+                for V in range(13):
+                    bad = Ciphertext(sigma.c, group.scalar(u), el(V), sigma.direction)
+                    verdict = definitional_accepts(params, toy13.pki, toy13.clc, bad)
+                    assert unsigncrypt_accepts(params, toy13.pki, toy13.clc, bad) == verdict
+                    rejected += not verdict
+            assert rejected > 0
+
+    def test_secp256k1_honest_and_tampered(self, prod, rng):
+        params, one = prod.params, prod.params.group.scalar(1)
+        for m in (b"payload", bytes(range(200))):
+            for sigma in (
+                pchs_signcrypt(params, prod.alice, prod.identity, prod.bob.public, m, rng),
+                cphs_signcrypt(params, prod.bob, prod.alice.PK_p, m, rng),
+            ):
+                assert definitional_accepts(params, prod.alice, prod.bob, sigma)
+                assert unsigncrypt_accepts(params, prod.alice, prod.bob, sigma)
+                for bad in (
+                    Ciphertext(sigma.c, sigma.u + one, sigma.V, sigma.direction),
+                    Ciphertext(sigma.c, sigma.u, sigma.V + params.P, sigma.direction),
+                ):
+                    assert not definitional_accepts(params, prod.alice, prod.bob, bad)
+                    assert not unsigncrypt_accepts(params, prod.alice, prod.bob, bad)
 
 
 class TestWrongKey:
