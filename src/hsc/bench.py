@@ -3,9 +3,11 @@
 Times the primitive operations (scalar multiplication of pool points and
 of the fixed base P, group addition, hash-to-scalar) and the four full
 algorithms plus aggregate key generation, each over fresh random inputs
-pre-generated outside the timed region.  Operation counts come from
-scoped counters around one invocation of each algorithm -- measured,
-never hardcoded.
+pre-generated outside the timed region; a caller may time a subset of the
+primitives alone.  On secp256k1 a pool point takes the general GLV path
+and P the shipped fixed-window table of the generator.  Operation counts
+come from scoped counters around one invocation of each algorithm --
+measured, never hardcoded.
 
 Absolute times are hardware-dependent and not comparable across machines;
 consumers should assert orderings and ratios only.  The machine-readable
@@ -173,9 +175,15 @@ def _summary(name: str, samples: list[float]) -> OpTiming:
 
 
 def bench_run(params: SystemParams, iterations: int = 10000, *,
-              algo_iterations: int | None = None, rng=None) -> BenchReport:
+              algo_iterations: int | None = None, rng=None,
+              rows=None) -> BenchReport:
     """Measure primitives over `iterations` runs and full algorithms over
-    `algo_iterations` runs (default iterations/100, at least 1)."""
+    `algo_iterations` runs (default iterations/100, at least 1).
+
+    `rows`, when given, names the primitive rows to time (`scalar_mult`,
+    `scalar_mult_fixed`, `group_add`, `hash_to_scalar`); the other rows,
+    the algorithm rows and the op counts are then skipped.
+    """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if algo_iterations is None:
@@ -194,22 +202,30 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
         return pool[i % len(pool)]
 
     scalars = [group.random_scalar(rng) for _ in range(iterations)]
-    # the pool holds more points than the odd-multiples cache, so this row
-    # times the uncached path; the fixed base P takes the cached one
-    report.timings.append(_summary("scalar_mult", _time_loop(
-        group.mul, [(scalars[i], pick(i)) for i in range(iterations)])))
-    report.timings.append(_summary("scalar_mult_fixed", _time_loop(
-        group.mul, [(k, params.P) for k in scalars])))
-
-    report.timings.append(_summary("group_add", _time_loop(
-        group.add, [(pick(i), pick(i + 1)) for i in range(iterations)])))
-
-    oracles = params.oracles
     msg_len = min(32, params.max_message_bytes)
     msgs = [rng.getrandbits(8 * msg_len).to_bytes(msg_len, "big")
             for _ in range(iterations)]
-    report.timings.append(_summary("hash_to_scalar", _time_loop(
-        oracles.h2, [(msgs[i], pick(i)) for i in range(iterations)])))
+    primitives = [
+        # the pool holds more points than the odd-multiples cache, so this
+        # row times the general path with a table build in every call
+        ("scalar_mult", group.mul,
+         [(scalars[i], pick(i)) for i in range(iterations)]),
+        # on secp256k1, k*P reads the shipped fixed-window table
+        ("scalar_mult_fixed", group.mul, [(k, params.P) for k in scalars]),
+        ("group_add", group.add,
+         [(pick(i), pick(i + 1)) for i in range(iterations)]),
+        ("hash_to_scalar", params.oracles.h2,
+         [(msgs[i], pick(i)) for i in range(iterations)]),
+    ]
+    if rows is not None:
+        unknown = set(rows) - {name for name, _, _ in primitives}
+        if unknown:
+            raise ValueError(f"unknown bench rows: {', '.join(sorted(unknown))}")
+    for name, fn, inputs in primitives:
+        if rows is None or name in rows:
+            report.timings.append(_summary(name, _time_loop(fn, inputs)))
+    if rows is not None:
+        return report
 
     # key material for the algorithm benchmarks; the bench provisions its
     # own hierarchy (the caller's master key is secret), same group and

@@ -4,13 +4,15 @@ Two interchangeable instantiations sit behind one interface:
 
 - :class:`Secp256k1Group` -- the production group.  secp256k1 has a prime
   order (cofactor 1), so the whole curve is the group.  Arithmetic is pure
-  Python in Jacobian coordinates.  Scalar multiplication splits k with the
-  GLV endomorphism into two ~128-bit halves, recodes each as width-5 wNAF
-  and runs one shared doubling chain, adding affine odd multiples of the
-  point with mixed Jacobian-affine additions; the odd-multiples table of
-  each point is built with one inversion and kept in a small LRU cache.
-  This is research-grade code; it is NOT constant-time and must not be
-  used where side channels matter.
+  Python in Jacobian coordinates.  A multiple of the generator P is a sum
+  of about 60 points read from a signed fixed-window table that ships
+  beside this module, with no doublings.  Any other point is multiplied by
+  splitting k with the GLV endomorphism into two ~128-bit halves, recoding
+  each as width-5 wNAF and running one shared doubling chain, adding
+  affine odd multiples of the point with mixed Jacobian-affine additions;
+  the odd-multiples table of each such point is built with one inversion
+  and kept in a small LRU cache.  This is research-grade code; it is NOT
+  constant-time and must not be used where side channels matter.
 
 - :class:`ToyGroup` -- the additive group of integers modulo a small prime
   q with generator 1.  Cryptographically worthless, but every operation
@@ -29,6 +31,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import hashlib
+import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -490,7 +494,7 @@ if (_BETA == 1 or pow(_BETA, 3, _P) != 1 or _LAMBDA == 1 or pow(_LAMBDA, 3, _N) 
 
 _WNAF_WIDTH = 5
 _TABLE_SIZE = 1 << (_WNAF_WIDTH - 2)  # odd multiples 1, 3, ..., 15
-# P, Ppub and the keys of a few peers, a few KB each
+# Ppub and the keys of a few peers, a few KB each
 _TABLE_CACHE_SIZE = 16
 
 
@@ -553,6 +557,81 @@ def _odd_multiples(point):
     return tuple(table), tuple((_BETA * tx % p, ty) for tx, ty in table)
 
 
+def _mul_glv(k: int, point):
+    """k*X for 0 < k < N and the affine point X: GLV split, both halves
+    as width-5 wNAF, one shared doubling chain."""
+    k1, k2 = _glv_split(k)
+    table, table_lambda = _odd_multiples(point)
+    # adds[i]: the affine points to add after doubling at bit i; the k2
+    # half adds multiples of _LAMBDA*X, and a negative digit or a negative
+    # half adds the negated point
+    adds = [[] for _ in range(max(abs(k1), abs(k2)).bit_length() + 1)]
+    for half, tbl in ((k1, table), (k2, table_lambda)):
+        for i, d in enumerate(_wnaf(abs(half))):
+            if d:
+                x, y = tbl[abs(d) >> 1]
+                adds[i].append((x, _P - y) if (d < 0) != (half < 0) else (x, y))
+    rx, ry, rz = 0, 1, 0
+    for points in reversed(adds):
+        if rz:
+            rx, ry, rz = _jac_double(rx, ry, rz)
+        for x, y in points:
+            rx, ry, rz = _jac_madd(rx, ry, rz, x, y)
+    return _jac_to_affine(rx, ry, rz)
+
+
+# Signed fixed window of width 4 for the generator G (Guide to ECC, 3.3;
+# libsecp256k1 ships the same kind of table for ecmult_gen).  Row i holds
+# the affine points j*16^i*G for j = 1..8.  A scalar below N recodes into
+# signed base-16 digits in [-7, 8]; the carry out of the top digit needs a
+# 65th row.  k*G is then one mixed addition per nonzero digit and no
+# doubling.  scripts/gen_g_table.py writes the table, as 520 big-endian
+# x || y pairs, to the file beside this module.
+_G_TABLE_PATH = os.path.join(os.path.dirname(__file__), "secp256k1_g_w4.bin")
+_G_TABLE_SHA256 = "a2f25107bbada95df26d48f81b4b56ae5b9c8adc39979ad3ccce948510970bbe"
+_g_table = None  # the parsed table, loaded on the first k*G
+
+
+def _load_g_table():
+    """Read, check and parse the generator table; a broken install raises
+    rather than falling back to the general path."""
+    global _g_table
+    try:
+        with open(_G_TABLE_PATH, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise RuntimeError(f"cannot read the secp256k1 generator table: {exc}") from exc
+    if hashlib.sha256(data).hexdigest() != _G_TABLE_SHA256:
+        raise RuntimeError(f"{_G_TABLE_PATH} does not match its SHA-256 digest")
+    coords = [int.from_bytes(data[o:o + 32], "big") for o in range(0, len(data), 32)]
+    table = tuple(zip(coords[::2], coords[1::2]))
+    # one assignment of a finished table: threads that race here each
+    # parse their own copy, and no thread sees a partial one
+    _g_table = table
+    return table
+
+
+def _mul_generator(k: int):
+    """k*G for 0 < k < N from the shipped signed fixed-window table."""
+    table = _g_table or _load_g_table()
+    rx, ry, rz = 0, 1, 0
+    row = 0  # index of the current window's 1*16^i*G
+    while k:
+        d = k & 15
+        k >>= 4
+        if d > 8:
+            d -= 16
+            k += 1
+        if d > 0:
+            x, y = table[row + d - 1]
+            rx, ry, rz = _jac_madd(rx, ry, rz, x, y)
+        elif d:
+            x, y = table[row - d - 1]
+            rx, ry, rz = _jac_madd(rx, ry, rz, x, _P - y)
+        row += 8
+    return _jac_to_affine(rx, ry, rz)
+
+
 class Secp256k1Group(Group):
     """secp256k1 as a plain prime-order group (no ECDSA baggage).
 
@@ -560,13 +639,19 @@ class Secp256k1Group(Group):
     points, 33 zero bytes for the identity.  Decoding rejects anything
     non-canonical instead of normalising it.
 
-    k*X splits k into k1 + k2*lambda with halves below 2^129 (GLV),
-    recodes both as width-5 wNAF and runs one doubling chain of about
-    129 steps for both, adding affine odd multiples of X and of
-    lambda*X with mixed Jacobian-affine additions (madd-2007-bl).  The
-    table of odd multiples costs one inversion and is cached for the 16
-    most recently used points, shared by all instances, so the fixed
-    bases P and Ppub and repeated peer keys build it once.
+    k*P for the generator P recodes k into 65 signed base-16 digits and
+    adds one precomputed affine point per nonzero digit with mixed
+    Jacobian-affine additions (madd-2007-bl).  The table is loaded from
+    `secp256k1_g_w4.bin` on the first k*P and checked against a SHA-256
+    digest; a missing or altered file raises RuntimeError.
+
+    For any other point X, k*X splits k into k1 + k2*lambda with halves
+    below 2^129 (GLV), recodes both as width-5 wNAF and runs one doubling
+    chain of about 129 steps for both, adding affine odd multiples of X
+    and of lambda*X.  The table of odd multiples costs one inversion and
+    is cached for the 16 most recently used points, shared by all
+    instances, so the fixed base Ppub and repeated peer keys build it
+    once.
     """
 
     def __init__(self) -> None:
@@ -596,24 +681,9 @@ class Secp256k1Group(Group):
     def _mul_value(self, k: int, xv):
         if xv is None or k == 0:
             return None
-        k1, k2 = _glv_split(k)
-        table, table_lambda = _odd_multiples(xv)
-        # adds[i]: the affine points to add after doubling at bit i; the
-        # k2 half adds multiples of _LAMBDA*X, and a negative digit or a
-        # negative half adds the negated point
-        adds = [[] for _ in range(max(abs(k1), abs(k2)).bit_length() + 1)]
-        for half, tbl in ((k1, table), (k2, table_lambda)):
-            for i, d in enumerate(_wnaf(abs(half))):
-                if d:
-                    x, y = tbl[abs(d) >> 1]
-                    adds[i].append((x, _P - y) if (d < 0) != (half < 0) else (x, y))
-        rx, ry, rz = 0, 1, 0
-        for points in reversed(adds):
-            if rz:
-                rx, ry, rz = _jac_double(rx, ry, rz)
-            for x, y in points:
-                rx, ry, rz = _jac_madd(rx, ry, rz, x, y)
-        return _jac_to_affine(rx, ry, rz)
+        if xv == (_GX, _GY):
+            return _mul_generator(k)
+        return _mul_glv(k, xv)
 
     def _encode_value(self, xv) -> bytes:
         if xv is None:

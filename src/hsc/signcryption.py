@@ -69,7 +69,10 @@ class Ciphertext:
 
 
 def _xor(data: bytes, mask: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(data, mask, strict=True))
+    if len(data) != len(mask):
+        raise ValueError(f"mask is {len(mask)} bytes, data {len(data)}")
+    masked = int.from_bytes(data, "big") ^ int.from_bytes(mask, "big")
+    return masked.to_bytes(len(data), "big")
 
 
 def _seal(params: SystemParams, m: bytes, rng) -> tuple[Scalar, Scalar, bytes]:

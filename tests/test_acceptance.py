@@ -325,7 +325,8 @@ def test_c7_end_to_end_demo(prod):
 
 def test_c8_bench_sanity(prod):
     report = bench_run(prod.params, iterations=10_000, algo_iterations=1,
-                       rng=random.Random(0x08))
+                       rng=random.Random(0x08),
+                       rows=("scalar_mult", "hash_to_scalar"))
     mult = report.timing("scalar_mult")
     hash_op = report.timing("hash_to_scalar")
     assert mult.iterations >= 10_000 and hash_op.iterations >= 10_000

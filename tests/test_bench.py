@@ -50,6 +50,21 @@ class TestReportShape:
             bench_run(params, 10, algo_iterations=algo_iterations)
 
 
+class TestRowFilter:
+    def test_times_only_the_named_rows(self):
+        params, _ = keys.setup("toy-101", rng=random.Random(3))
+        report = bench_run(params, iterations=50, rng=random.Random(4),
+                           rows=("hash_to_scalar", "scalar_mult"))
+        assert [t.name for t in report.timings] == ["scalar_mult", "hash_to_scalar"]
+        assert report.timing("scalar_mult").iterations == 50
+        assert report.op_counts == {}
+
+    def test_unknown_row_raises(self):
+        params, _ = keys.setup("toy-13", rng=random.Random(1))
+        with pytest.raises(ValueError, match="keygen"):
+            bench_run(params, 10, rows=("scalar_mult", "keygen"))
+
+
 class TestToyGroupKeys:
     """On toy-13, x_c + d == 0 has probability 1/12 per draw, so the
     bench's own CLC keys must go through the resampling finalize."""

@@ -2,9 +2,12 @@
 curve vs an independent affine implementation and vs the 4-bit ladder
 it used before GLV, encodings, counters."""
 
+import hashlib
 import random
+import runpy
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -543,7 +546,7 @@ class TestOddMultiplesTable:
         for k in (3, 5, 7):
             k * X
         info = cache.cache_info()
-        assert info.misses == 2  # the generator (for 7*G) and X
+        assert info.misses == 1  # X; 7*G takes the generator's shipped table
         assert info.hits == 2
 
 
@@ -585,6 +588,122 @@ class TestGlvAgainstLadder:
             results[slot] = [secp._mul_value(k, X) for k, X in work[slot]]
 
         group_module._odd_multiples.cache_clear()
+        _run_concurrently(run, [(0,), (1,)])
+        assert results == expected
+
+
+_CARRY_SCALARS = [_N - 1, 9 << 252, int("8" * 63 + "9", 16)]
+_GEN_TABLE_SCALARS = EDGE_SCALARS + [2**255, 2**256 % _N, 2**257 % _N] + _CARRY_SCALARS
+
+
+def _signed_base16(k):
+    """Signed base-16 digits of k in [-7, 8], least significant first."""
+    digits = []
+    while k:
+        d = k & 15
+        k >>= 4
+        if d > 8:
+            d -= 16
+            k += 1
+        digits.append(d)
+    return digits
+
+
+def _glv_of_generator(k):
+    return group_module._mul_glv(k % _N, _GEN) if k % _N else None
+
+
+class TestGeneratorTable:
+    """k*G takes the shipped signed fixed-window table; every other
+    point, -G included, takes the GLV path."""
+
+    def test_script_reproduces_the_shipped_file(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "gen_g_table.py"
+        built = runpy.run_path(str(script))["build_table"]()
+        with open(group_module._G_TABLE_PATH, "rb") as f:
+            shipped = f.read()
+        assert built == shipped
+        assert len(shipped) == 65 * 8 * 64
+        assert hashlib.sha256(shipped).hexdigest() == group_module._G_TABLE_SHA256
+
+    def test_file_sits_next_to_the_group_module(self):
+        path = Path(group_module.__file__).with_name("secp256k1_g_w4.bin")
+        assert path.is_file()
+        assert Path(group_module._G_TABLE_PATH) == path
+
+    def test_random_scalars_match_glv_and_ladder(self, secp):
+        rng = random.Random(61)
+        for _ in range(200):
+            k = rng.randrange(_N)
+            value = (k * secp.generator()).value
+            assert value == _glv_of_generator(k)
+            assert value == ladder_mul(k, _GEN)
+
+    def test_carry_scalars_need_the_65th_row(self):
+        for k in _CARRY_SCALARS:
+            digits = _signed_base16(k)
+            assert len(digits) == 65 and digits[-1] == 1
+            assert sum(d << (4 * i) for i, d in enumerate(digits)) == k
+            assert all(-7 <= d <= 8 for d in digits)
+
+    @pytest.mark.parametrize("k", _GEN_TABLE_SCALARS)
+    def test_edge_scalars(self, secp, k):
+        value = (k * secp.generator()).value
+        assert value == _glv_of_generator(k)
+        assert value == ladder_mul(k, _GEN)
+
+    def test_generator_and_its_negation(self, secp):
+        cache = group_module._odd_multiples
+        rng = random.Random(62)
+        neg_gen = (_GEN[0], _P - _GEN[1])
+        for _ in range(20):
+            k = rng.randrange(1, _N)
+            cache.cache_clear()
+            kG = secp._mul_value(k, _GEN)
+            assert cache.cache_info().currsize == 0  # no GLV table for G
+            k_neg_gen = secp._mul_value(k, neg_gen)
+            assert cache.cache_info().currsize == 1  # -G takes the GLV path
+            assert k_neg_gen == ladder_mul(k, neg_gen) == (kG[0], _P - kG[1])
+
+    def test_only_the_generator_loads_the_table(self, secp, prod, monkeypatch):
+        monkeypatch.setattr(group_module, "_g_table", None)
+        (X,) = _random_points(1, seed=63)
+        secp._mul_value(5, X)
+        secp._mul_value(5, prod.params.Ppub.value)
+        assert group_module._g_table is None
+        secp._mul_value(5, _GEN)
+        assert len(group_module._g_table) == 520
+
+    def test_corrupted_table_raises(self, secp, tmp_path, monkeypatch):
+        with open(group_module._G_TABLE_PATH, "rb") as f:
+            data = bytearray(f.read())
+        data[1000] ^= 1
+        corrupt = tmp_path / "secp256k1_g_w4.bin"
+        corrupt.write_bytes(bytes(data))
+        monkeypatch.setattr(group_module, "_G_TABLE_PATH", str(corrupt))
+        monkeypatch.setattr(group_module, "_g_table", None)
+        with pytest.raises(RuntimeError, match="SHA-256"):
+            5 * secp.generator()
+        assert group_module._g_table is None
+
+    def test_missing_table_raises(self, secp, tmp_path, monkeypatch):
+        monkeypatch.setattr(group_module, "_G_TABLE_PATH", str(tmp_path / "absent.bin"))
+        monkeypatch.setattr(group_module, "_g_table", None)
+        with pytest.raises(RuntimeError, match="cannot read"):
+            5 * secp.generator()
+
+    def test_threads_load_a_cold_table(self, secp, monkeypatch):
+        monkeypatch.setattr(group_module, "_g_table", None)
+        rng = random.Random(64)
+        work = [[rng.randrange(_N) for _ in range(5)] for _ in range(2)]
+        expected = [[ladder_mul(k, _GEN) for k in jobs] for jobs in work]
+        results = [None, None]
+        start = threading.Barrier(2)
+
+        def run(slot):
+            start.wait(timeout=10)
+            results[slot] = [secp._mul_value(k, _GEN) for k in work[slot]]
+
         _run_concurrently(run, [(0,), (1,)])
         assert results == expected
 

@@ -14,6 +14,7 @@ from hsc.signcryption import (
     Direction,
     MessageSizeError,
     RejectedCiphertext,
+    _xor,
     cphs_signcrypt,
     cphs_unsigncrypt,
     pchs_signcrypt,
@@ -321,3 +322,14 @@ class TestMessageBounds:
                              sigma.u, sigma.V, sigma.direction)
         with pytest.raises(RejectedCiphertext):
             pchs_unsigncrypt(prod.params, prod.bob, prod.alice.PK_p, bloated)
+
+
+class TestXorMask:
+    @given(data=st.binary(max_size=1100), seed=st.integers(0, 2**32))
+    def test_matches_bytewise_xor(self, data, seed):
+        mask = random.Random(seed).randbytes(len(data))
+        assert _xor(data, mask) == bytes(a ^ b for a, b in zip(data, mask))
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            _xor(b"\x00\x01", b"\x00")
