@@ -5,10 +5,10 @@
 OUT defaults to src/hsc/secp256k1_g_w4.bin, the file `hsc.group` loads on
 the first k*G.  Row i (i = 0..64) holds the affine points j*16^i*G for
 j = 1..8, each as 32-byte big-endian x followed by 32-byte big-endian y:
-520 points, 33,280 bytes.  The first point of each row comes from the
-general GLV multiplication, the other seven from mixed additions of it, so
-the table is rebuilt from the library's own arithmetic.  After changing
-the table, put the SHA-256 this script prints into `_G_TABLE_SHA256`.
+520 points, 33,280 bytes.  The rows come from `hsc.group`'s own
+fixed-window row builder, the one that also builds the tables of
+repeatedly multiplied points.  After changing the table, put the SHA-256
+this script prints into `_G_TABLE_SHA256`.
 """
 
 from __future__ import annotations
@@ -21,24 +21,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
-from hsc.group import _GX, _GY, _N, _jac_madd, _jac_to_affine, _mul_glv  # noqa: E402
+from hsc.group import _GX, _GY, _fixed_window_rows  # noqa: E402
 
-WINDOW = 4
-ROWS = 65  # 256 / WINDOW digits, plus one for the carry of signed recoding
+ROWS = 65  # 256 / 4 digits, plus one for the carry of signed recoding
 DEFAULT_OUT = SRC / "hsc" / "secp256k1_g_w4.bin"
 
 
 def build_table() -> bytes:
-    out = bytearray()
-    for i in range(ROWS):
-        base = _mul_glv(pow(2, WINDOW * i, _N), (_GX, _GY))
-        acc = (*base, 1)
-        for j in range(1 << (WINDOW - 1)):
-            if j:
-                acc = _jac_madd(*acc, *base)
-            x, y = _jac_to_affine(*acc)
-            out += x.to_bytes(32, "big") + y.to_bytes(32, "big")
-    return bytes(out)
+    return b"".join(x.to_bytes(32, "big") + y.to_bytes(32, "big")
+                    for x, y in _fixed_window_rows((_GX, _GY), ROWS))
 
 
 def main(argv: list[str]) -> int:

@@ -1,11 +1,13 @@
 """Microbenchmark harness: wall times and measured operation counts.
 
-Times the primitive operations (scalar multiplication of pool points and
-of the fixed base P, group addition, hash-to-scalar) and the four full
-algorithms plus aggregate key generation, each over fresh random inputs
-pre-generated outside the timed region; a caller may time a subset of the
-primitives alone.  On secp256k1 a pool point takes the general GLV path
-and P the shipped fixed-window table of the generator.  Operation counts
+Times the primitive operations (scalar multiplication of pool points, of
+the fixed base P and of one point over and over, group addition,
+hash-to-scalar) and the four full algorithms plus aggregate key
+generation, each over fresh random inputs pre-generated outside the timed
+region; a caller may time a subset of the primitives alone.  On secp256k1
+a pool point takes the first-use GLV + wNAF path, P the shipped
+fixed-window table of the generator, and the repeated point (Ppub) the
+fixed-window table it is promoted to on its second use.  Operation counts
 come from scoped counters around one invocation of each algorithm --
 measured, never hardcoded.
 
@@ -181,8 +183,9 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     `algo_iterations` runs (default iterations/100, at least 1).
 
     `rows`, when given, names the primitive rows to time (`scalar_mult`,
-    `scalar_mult_fixed`, `group_add`, `hash_to_scalar`); the other rows,
-    the algorithm rows and the op counts are then skipped.
+    `scalar_mult_fixed`, `scalar_mult_repeat`, `group_add`,
+    `hash_to_scalar`); the other rows, the algorithm rows and the op
+    counts are then skipped.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -206,12 +209,15 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     msgs = [rng.getrandbits(8 * msg_len).to_bytes(msg_len, "big")
             for _ in range(iterations)]
     primitives = [
-        # the pool holds more points than the odd-multiples cache, so this
-        # row times the general path with a table build in every call
+        # the pool holds more points than the cache of recent points, so
+        # this row times the first-use path with a table build in every call
         ("scalar_mult", group.mul,
          [(scalars[i], pick(i)) for i in range(iterations)]),
         # on secp256k1, k*P reads the shipped fixed-window table
         ("scalar_mult_fixed", group.mul, [(k, params.P) for k in scalars]),
+        # one point over and over: on secp256k1 its second call builds the
+        # point's fixed-window table, which every later call reads
+        ("scalar_mult_repeat", group.mul, [(k, params.Ppub) for k in scalars]),
         ("group_add", group.add,
          [(pick(i), pick(i + 1)) for i in range(iterations)]),
         ("hash_to_scalar", params.oracles.h2,

@@ -4,15 +4,23 @@ Two interchangeable instantiations sit behind one interface:
 
 - :class:`Secp256k1Group` -- the production group.  secp256k1 has a prime
   order (cofactor 1), so the whole curve is the group.  Arithmetic is pure
-  Python in Jacobian coordinates.  A multiple of the generator P is a sum
-  of about 60 points read from a signed fixed-window table that ships
-  beside this module, with no doublings.  Any other point is multiplied by
-  splitting k with the GLV endomorphism into two ~128-bit halves, recoding
-  each as width-5 wNAF and running one shared doubling chain, adding
-  affine odd multiples of the point with mixed Jacobian-affine additions;
-  the odd-multiples table of each such point is built with one inversion
-  and kept in a small LRU cache.  This is research-grade code; it is NOT
-  constant-time and must not be used where side channels matter.
+  Python in Jacobian coordinates, and a scalar multiplication takes one of
+  three paths:
+
+  * the generator P reads a signed fixed-window table that ships beside
+    this module: about 60 mixed additions and no doublings;
+  * any other point, on its first multiplication, splits k with the GLV
+    endomorphism into two ~128-bit halves, recodes each as width-5 wNAF
+    and runs one shared doubling chain over a table of odd multiples of
+    the point built with one inversion;
+  * a point multiplied a second time while it is still among the 16 most
+    recently multiplied gets a signed fixed-window table of its own, 33
+    rows per GLV half (built in about 4.5 ms, 77 KB per point), and from
+    then on costs the GLV split plus about 62 mixed additions, again with
+    no doublings.
+
+  This is research-grade code; it is NOT constant-time and must not be
+  used where side channels matter.
 
 - :class:`ToyGroup` -- the additive group of integers modulo a small prime
   q with generator 1.  Cryptographically worthless, but every operation
@@ -28,11 +36,12 @@ meanwhile neither add to them nor see them.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
-import functools
 import hashlib
 import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -494,8 +503,12 @@ if (_BETA == 1 or pow(_BETA, 3, _P) != 1 or _LAMBDA == 1 or pow(_LAMBDA, 3, _N) 
 
 _WNAF_WIDTH = 5
 _TABLE_SIZE = 1 << (_WNAF_WIDTH - 2)  # odd multiples 1, 3, ..., 15
-# Ppub and the keys of a few peers, a few KB each
+# Ppub and the keys of a few peers, about 77 KB each once promoted
 _TABLE_CACHE_SIZE = 16
+# A GLV half below 2^129 recodes into at most 33 signed base-16 digits
+# (8 * (16^33 - 1) / 15 > 2^131); 32 rows fall short of the halves that
+# _glv_split returns for some scalars.
+_GLV_ROWS = 33
 
 
 def _glv_split(k: int) -> tuple[int, int]:
@@ -524,49 +537,104 @@ def _wnaf(k: int) -> list[int]:
     return digits
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _odd_multiples(point):
-    """Affine 1X, 3X, ..., 15X for the affine point X, and the same
-    multiples of _LAMBDA*X, from one field inversion."""
-    p = _P
+def _on_doubled_curve(point):
+    """The affine point X and 2X = (dx, dy) as affine points of the
+    isomorphic curve y^2 = x^3 + 7*dz^6, and dz.  X is (x*dz^2, y*dz^3)
+    there.  Neither madd nor the a = 0 doubling reads the curve constant,
+    so a chain of multiples of X runs there; a point (X', Y', Z') there is
+    (X', Y', Z'*dz) on secp256k1."""
     x, y = point
-    # 2X = (dx, dy, dz) is the affine point (dx, dy) on the isomorphic
-    # curve y^2 = x^3 + 7*dz^6, where X is (x*dz^2, y*dz^3).  Neither madd
-    # nor the a = 0 doubling reads the curve constant, so the chain runs
-    # there; a sum (X', Y', Z') there is (X', Y', Z'*dz) on secp256k1.
     dx, dy, dz = _jac_double(x, y, 1)
-    dz2 = dz * dz % p
-    acc = (x * dz2 % p, y * dz2 % p * dz % p, 1)
-    chain = [acc]
-    for _ in range(_TABLE_SIZE - 1):
-        acc = _jac_madd(*acc, dx, dy)
-        chain.append(acc)
+    dz2 = dz * dz % _P
+    return (x * dz2 % _P, y * dz2 % _P * dz % _P), (dx, dy), dz
+
+
+def _batch_affine(chain, dz):
+    """The affine points (X, Y, Z*dz) for (X, Y, Z) in chain, from one
+    field inversion (Montgomery's trick); no Z may be 0."""
+    p = _P
     zs = [Z * dz % p for _, _, Z in chain]
-    # Montgomery's trick: every 1/Z from one inversion of their product
     prefix = [1]
     for z in zs:
         prefix.append(prefix[-1] * z % p)
     inv = pow(prefix[-1], -1, p)
-    table = [None] * _TABLE_SIZE
-    for i in reversed(range(_TABLE_SIZE)):
+    out = [None] * len(chain)
+    for i in reversed(range(len(chain))):
         zi = inv * prefix[i] % p
         inv = inv * zs[i] % p
         X, Y, _ = chain[i]
         zi2 = zi * zi % p
-        table[i] = (X * zi2 % p, Y * zi2 % p * zi % p)
-    return tuple(table), tuple((_BETA * tx % p, ty) for tx, ty in table)
+        out[i] = (X * zi2 % p, Y * zi2 % p * zi % p)
+    return out
 
 
-def _mul_glv(k: int, point):
-    """k*X for 0 < k < N and the affine point X: GLV split, both halves
-    as width-5 wNAF, one shared doubling chain."""
+def _with_lambda(table):
+    """The table and the same multiples of _LAMBDA*X: (_BETA*x, y)."""
+    return table, tuple((_BETA * x % _P, y) for x, y in table)
+
+
+def _odd_multiples(point):
+    """Affine 1X, 3X, ..., 15X for the affine point X, and the same
+    multiples of _LAMBDA*X, from one field inversion."""
+    X, X2, dz = _on_doubled_curve(point)
+    acc = (*X, 1)
+    chain = [acc]
+    for _ in range(_TABLE_SIZE - 1):
+        acc = _jac_madd(*acc, *X2)
+        chain.append(acc)
+    return _with_lambda(tuple(_batch_affine(chain, dz)))
+
+
+def _fixed_window_rows(point, rows: int):
+    """Signed fixed window of width 4 for the affine point X (Guide to
+    ECC, 3.3): row i < rows holds the affine points j*16^i*X for
+    j = 1..8, flattened.  Each row, with 16*16^i*X as the next row's
+    base, costs one field inversion."""
+    table = []
+    for _ in range(rows):
+        B, B2, dz = _on_doubled_curve(point)
+        acc = (*B2, 1)
+        chain = [(*B, 1), acc]
+        for _ in range(3, 9):  # 3B, ..., 8B
+            acc = _jac_madd(*acc, *B)
+            chain.append(acc)
+        chain.append(_jac_double(*acc))  # 16B, the next row's base
+        *row, point = _batch_affine(chain, dz)
+        table += row
+    return tuple(table)
+
+
+def _fixed_window_madd(r, table, k: int):
+    """The Jacobian point r + k*X from the fixed-window rows of X: k,
+    of either sign, recodes into signed base-16 digits in [-7, 8], and
+    each nonzero digit costs one mixed addition, with no doubling."""
+    rx, ry, rz = r
+    row = 0  # index of the current window's 1*16^i*X
+    while k:
+        d = k & 15
+        k >>= 4
+        if d > 8:
+            d -= 16
+            k += 1
+        if d > 0:
+            x, y = table[row + d - 1]
+            rx, ry, rz = _jac_madd(rx, ry, rz, x, y)
+        elif d:
+            x, y = table[row - d - 1]
+            rx, ry, rz = _jac_madd(rx, ry, rz, x, _P - y)
+        row += 8
+    return rx, ry, rz
+
+
+def _mul_wnaf(k: int, tables):
+    """k*X for 0 < k < N from the odd multiples of X and of _LAMBDA*X:
+    GLV split, both halves as width-5 wNAF, one shared doubling chain."""
     k1, k2 = _glv_split(k)
-    table, table_lambda = _odd_multiples(point)
     # adds[i]: the affine points to add after doubling at bit i; the k2
     # half adds multiples of _LAMBDA*X, and a negative digit or a negative
     # half adds the negated point
     adds = [[] for _ in range(max(abs(k1), abs(k2)).bit_length() + 1)]
-    for half, tbl in ((k1, table), (k2, table_lambda)):
+    for half, tbl in zip((k1, k2), tables):
         for i, d in enumerate(_wnaf(abs(half))):
             if d:
                 x, y = tbl[abs(d) >> 1]
@@ -580,13 +648,77 @@ def _mul_glv(k: int, point):
     return _jac_to_affine(rx, ry, rz)
 
 
-# Signed fixed window of width 4 for the generator G (Guide to ECC, 3.3;
-# libsecp256k1 ships the same kind of table for ecmult_gen).  Row i holds
-# the affine points j*16^i*G for j = 1..8.  A scalar below N recodes into
-# signed base-16 digits in [-7, 8]; the carry out of the top digit needs a
-# 65th row.  k*G is then one mixed addition per nonzero digit and no
-# doubling.  scripts/gen_g_table.py writes the table, as 520 big-endian
-# x || y pairs, to the file beside this module.
+def _mul_promoted(k: int, tables):
+    """k*X for 0 < k < N from the 33-row fixed-window tables of X and of
+    _LAMBDA*X: GLV split, then about 62 mixed additions."""
+    k1, k2 = _glv_split(k)
+    table, table_lambda = tables
+    r = _fixed_window_madd((0, 1, 0), table, k1)
+    return _jac_to_affine(*_fixed_window_madd(r, table_lambda, k2))
+
+
+class _PointTables:
+    """Bounded LRU of the points _mul_glv multiplied, least recent first.
+    A point maps to None after its first multiplication and to its
+    promoted fixed-window tables from its second on.  Tables are built
+    outside the lock; the lock guards every change to the map, which the
+    threads of one process share."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._entries: collections.OrderedDict = collections.OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _put(self, point, tables) -> None:
+        self._entries[point] = tables
+        self._entries.move_to_end(point)
+        if len(self._entries) > self.size:
+            self._entries.popitem(last=False)
+
+    def use(self, point):
+        """Record a multiplication of point: (whether it was in the map,
+        its promoted tables or None)."""
+        with self._lock:
+            seen = point in self._entries
+            tables = self._entries.get(point)
+            self._put(point, tables)
+        return seen, tables
+
+    def promote(self, point, tables) -> None:
+        with self._lock:
+            self._put(point, tables)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+_point_tables = _PointTables(_TABLE_CACHE_SIZE)
+
+
+def _mul_glv(k: int, point):
+    """k*X for 0 < k < N and the affine point X.  The first
+    multiplication of X builds its odd multiples (one inversion) and runs
+    the wNAF chain; the second, while X is still cached, builds its
+    fixed-window tables, which it and every later one read."""
+    seen, tables = _point_tables.use(point)
+    if tables is None:
+        if not seen:
+            return _mul_wnaf(k, _odd_multiples(point))
+        tables = _with_lambda(_fixed_window_rows(point, _GLV_ROWS))
+        _point_tables.promote(point, tables)
+    return _mul_promoted(k, tables)
+
+
+# The generator G has the same kind of table over the whole scalar,
+# shipped with the package (libsecp256k1 ships one for ecmult_gen).  A
+# scalar below N recodes into signed base-16 digits; the carry out of the
+# top digit needs a 65th row.  scripts/gen_g_table.py writes
+# _fixed_window_rows(G, 65), as 520 big-endian x || y pairs, to the file
+# beside this module.
 _G_TABLE_PATH = os.path.join(os.path.dirname(__file__), "secp256k1_g_w4.bin")
 _G_TABLE_SHA256 = "a2f25107bbada95df26d48f81b4b56ae5b9c8adc39979ad3ccce948510970bbe"
 _g_table = None  # the parsed table, loaded on the first k*G
@@ -613,23 +745,7 @@ def _load_g_table():
 
 def _mul_generator(k: int):
     """k*G for 0 < k < N from the shipped signed fixed-window table."""
-    table = _g_table or _load_g_table()
-    rx, ry, rz = 0, 1, 0
-    row = 0  # index of the current window's 1*16^i*G
-    while k:
-        d = k & 15
-        k >>= 4
-        if d > 8:
-            d -= 16
-            k += 1
-        if d > 0:
-            x, y = table[row + d - 1]
-            rx, ry, rz = _jac_madd(rx, ry, rz, x, y)
-        elif d:
-            x, y = table[row - d - 1]
-            rx, ry, rz = _jac_madd(rx, ry, rz, x, _P - y)
-        row += 8
-    return _jac_to_affine(rx, ry, rz)
+    return _jac_to_affine(*_fixed_window_madd((0, 1, 0), _g_table or _load_g_table(), k))
 
 
 class Secp256k1Group(Group):
@@ -646,12 +762,18 @@ class Secp256k1Group(Group):
     digest; a missing or altered file raises RuntimeError.
 
     For any other point X, k*X splits k into k1 + k2*lambda with halves
-    below 2^129 (GLV), recodes both as width-5 wNAF and runs one doubling
-    chain of about 129 steps for both, adding affine odd multiples of X
-    and of lambda*X.  The table of odd multiples costs one inversion and
-    is cached for the 16 most recently used points, shared by all
-    instances, so the fixed base Ppub and repeated peer keys build it
-    once.
+    below 2^129 (GLV).  The first multiplication of X recodes both halves
+    as width-5 wNAF and runs one doubling chain of about 129 steps for
+    both, adding affine odd multiples of X and of lambda*X from a table
+    built with one inversion.  The second multiplication of X, if X is
+    still among the 16 most recently multiplied points, instead builds
+    33-row signed fixed-window tables of X and lambda*X (one inversion per
+    row, about 4.5 ms and 77 KB), which it and every later multiplication
+    of X read like the generator's: about 62 mixed additions and no
+    doublings.  So Ppub and repeated peer keys are promoted on their
+    second use, and a point used once, as in a one-shot CLI command,
+    never pays the build.  The map of recent points is shared by all
+    instances and threads.
     """
 
     def __init__(self) -> None:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hsc import keys
+from hsc import group, keys
 from hsc.group import Group, GroupElement, Scalar, Secp256k1Group, ToyGroup
 
 
@@ -137,6 +137,20 @@ def prod():
     bob = keys.clc_keygen(params, master, b"server", rng)
     return SimpleNamespace(params=params, master=master, alice=alice, bob=bob,
                            identity=b"server")
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The point of every secp256k1 table build during the test, per
+    builder: `_odd_multiples` (a first use) and `_fixed_window_rows` (a
+    promotion)."""
+    builds = {"_odd_multiples": [], "_fixed_window_rows": []}
+    for name, points in builds.items():
+        def hook(point, *rest, build=getattr(group, name), points=points):
+            points.append(point)
+            return build(point, *rest)
+        monkeypatch.setattr(group, name, hook)
+    return builds
 
 
 @pytest.fixture

@@ -8,11 +8,12 @@ import random
 
 import pytest
 
-from hsc import cli, keys
+from hsc import cli, group, keys
 from hsc.bench import CSV_COLUMNS, bench_run, git_commit
 
 EXPECTED_OPS = [
-    "scalar_mult", "scalar_mult_fixed", "group_add", "hash_to_scalar",
+    "scalar_mult", "scalar_mult_fixed", "scalar_mult_repeat", "group_add",
+    "hash_to_scalar",
     "keygen", "pchs_signcrypt", "pchs_unsigncrypt",
     "cphs_signcrypt", "cphs_unsigncrypt",
 ]
@@ -58,6 +59,19 @@ class TestRowFilter:
         assert [t.name for t in report.timings] == ["scalar_mult", "hash_to_scalar"]
         assert report.timing("scalar_mult").iterations == 50
         assert report.op_counts == {}
+
+    def test_repeat_row_reads_a_promoted_table(self, table_builds):
+        params, _ = keys.setup("secp256k1", rng=random.Random(5))
+        builds = table_builds["_fixed_window_rows"]
+        group._point_tables.clear()
+        report = bench_run(params, iterations=20, rng=random.Random(6),
+                           rows=("scalar_mult_repeat",))
+        assert [t.name for t in report.timings] == ["scalar_mult_repeat"]
+        assert builds == [params.Ppub.value]  # on the row's second call only
+        # scalar_mult cycles 64 points through the 16-entry cache, so it
+        # keeps timing the first-use path, which C8 relies on
+        bench_run(params, iterations=150, rng=random.Random(7), rows=("scalar_mult",))
+        assert builds == [params.Ppub.value]
 
     def test_unknown_row_raises(self):
         params, _ = keys.setup("toy-13", rng=random.Random(1))

@@ -134,6 +134,39 @@ class TestIdOverride:
                          "id_cphs2.hsc", "id_bob.txt", "--id", "bob")
 
 
+class TestOneShotBuildsNoPromotedTable:
+    """No point is multiplied twice in one signcrypt or unsigncrypt
+    command, so a one-shot `hsc` process never builds a promoted
+    fixed-window table.  The commands run in this process, with the cache
+    of recent points cleared before each as in a fresh one."""
+
+    @pytest.mark.parametrize("mode,sender,receiver,sender_pub,receiver_pub", [
+        ("pchs", "alice.hsc", "bob.hsc", "alice.pub.hsc", "bob.pub.hsc"),
+        ("cphs", "bob.hsc", "alice.hsc", "bob.pub.hsc", "alice.pub.hsc"),
+    ])
+    def test_signcrypt_and_unsigncrypt(self, workspace, table_builds, mode, sender,
+                                       receiver, sender_pub, receiver_pub):
+        from hsc import cli, group
+        builds = table_builds["_fixed_window_rows"]
+        ws = str(workspace)
+        signcrypt = ["signcrypt", "--mode", mode, "--params", f"{ws}/params.hsc",
+                     "--key", f"{ws}/{sender}", "--peer", f"{ws}/{receiver_pub}",
+                     "--in", f"{ws}/msg.txt", "--out", f"{ws}/oneshot_{mode}.hsc",
+                     "--force"]
+        unsigncrypt = ["unsigncrypt", "--mode", mode, "--params", f"{ws}/params.hsc",
+                       "--key", f"{ws}/{receiver}", "--peer", f"{ws}/{sender_pub}",
+                       "--in", f"{ws}/oneshot_{mode}.hsc",
+                       "--out", f"{ws}/oneshot_{mode}.txt", "--force"]
+        for argv in (signcrypt, unsigncrypt):
+            group._point_tables.clear()
+            assert cli.main(argv) == 0
+        assert builds == []
+        # the hook does see a promotion: the same command again in one
+        # process multiplies the sender's key a second time
+        assert cli.main(unsigncrypt) == 0
+        assert builds
+
+
 class TestFileHygiene:
     def test_refuses_overwrite_without_force(self, workspace):
         result = run(["pki-keygen", "--params", "params.hsc",

@@ -532,22 +532,25 @@ class TestMixedAdd:
 
 class TestOddMultiplesTable:
     def test_entries_are_odd_multiples(self):
-        group_module._odd_multiples.cache_clear()
         for X in [_GEN] + _random_points(2, seed=31):
             table, table_lambda = group_module._odd_multiples(X)
             assert list(table) == [ladder_mul(m, X) for m in range(1, 16, 2)]
             assert list(table_lambda) == [ladder_mul(m * _LAMBDA, X) for m in range(1, 16, 2)]
 
-    def test_cache_is_bounded_and_hit(self, secp):
-        cache = group_module._odd_multiples
-        assert cache.cache_info().maxsize is not None
-        cache.cache_clear()
-        X = 7 * secp.generator()
+    def test_cache_is_bounded_and_hit(self, secp, table_builds):
+        cache = group_module._point_tables
+        assert cache.size == 16
+        cache.clear()
+        X = 7 * secp.generator()  # 7*G takes the generator's shipped table
         for k in (3, 5, 7):
             k * X
-        info = cache.cache_info()
-        assert info.misses == 1  # X; 7*G takes the generator's shipped table
-        assert info.hits == 2
+        # X: odd multiples on the first use, its own table on the second,
+        # a hit on the third
+        assert table_builds == {"_odd_multiples": [X.value], "_fixed_window_rows": [X.value]}
+        assert len(cache) == 1
+        for Y in _random_points(20, seed=32):
+            5 * GroupElement(secp, Y)
+        assert len(cache) == 16
 
 
 class TestGlvAgainstLadder:
@@ -562,9 +565,9 @@ class TestGlvAgainstLadder:
             for _ in range(4):
                 k = rng.randrange(_N)
                 expected = ladder_mul(k, X)
-                group_module._odd_multiples.cache_clear()
-                assert secp._mul_value(k, X) == expected  # cold: builds the table
-                assert secp._mul_value(k, X) == expected  # warm: cached table
+                group_module._point_tables.clear()
+                assert secp._mul_value(k, X) == expected  # cold: odd multiples
+                assert secp._mul_value(k, X) == expected  # warm: promoted table
 
     @pytest.mark.parametrize("k", EDGE_SCALARS)
     def test_edge_scalars(self, secp, prod, k):
@@ -587,7 +590,7 @@ class TestGlvAgainstLadder:
             start.wait(timeout=10)
             results[slot] = [secp._mul_value(k, X) for k, X in work[slot]]
 
-        group_module._odd_multiples.cache_clear()
+        group_module._point_tables.clear()
         _run_concurrently(run, [(0,), (1,)])
         assert results == expected
 
@@ -653,16 +656,16 @@ class TestGeneratorTable:
         assert value == ladder_mul(k, _GEN)
 
     def test_generator_and_its_negation(self, secp):
-        cache = group_module._odd_multiples
+        cache = group_module._point_tables
         rng = random.Random(62)
         neg_gen = (_GEN[0], _P - _GEN[1])
         for _ in range(20):
             k = rng.randrange(1, _N)
-            cache.cache_clear()
+            cache.clear()
             kG = secp._mul_value(k, _GEN)
-            assert cache.cache_info().currsize == 0  # no GLV table for G
+            assert len(cache) == 0  # no GLV entry for G
             k_neg_gen = secp._mul_value(k, neg_gen)
-            assert cache.cache_info().currsize == 1  # -G takes the GLV path
+            assert len(cache) == 1  # -G takes the GLV path
             assert k_neg_gen == ladder_mul(k, neg_gen) == (kG[0], _P - kG[1])
 
     def test_only_the_generator_loads_the_table(self, secp, prod, monkeypatch):
@@ -706,6 +709,137 @@ class TestGeneratorTable:
 
         _run_concurrently(run, [(0,), (1,)])
         assert results == expected
+
+
+# scalars one of whose GLV halves needs all 33 signed base-16 digits, in
+# the order negative k1, negative k2, positive k1, positive k2
+_LONG_HALF_SCALARS = [
+    0x7F26144B98289FCD59A54A7BB1FEE08F571242425051C1CCD17F9ACAE01F5057,
+    0x9A2EF80F58EE8571F4998D7C4093F6DEA268AA872607679D6050914A9D33A01C,
+    0xB0A844E52587BE6B5C9BCF35873BE078F3B7A50DF373CA533488F87605E999F3,
+    0x7224A7C9B42460B8A0DD8910C521F7B01E7055F4469A28E44B0C49A58825DFBE,
+]
+_PROMOTED_SCALARS = [1, 2, 8, 9, 16, _N - 1] + _LONG_HALF_SCALARS
+
+
+class TestPromotedTable:
+    """A point other than G gets 33-row fixed-window tables of its own on
+    its second multiplication while it is still cached."""
+
+    def _bases(self, prod):
+        X, Y = _random_points(2, seed=71)
+        lambda_X = (_BETA * X[0] % _P, X[1])
+        return [(_GEN[0], _P - _GEN[1]), prod.params.Ppub.value, lambda_X, X, Y]
+
+    def test_rows_are_fixed_window_multiples(self):
+        (X,) = _random_points(1, seed=72)
+        table, table_lambda = group_module._with_lambda(
+            group_module._fixed_window_rows(X, 33))
+        assert len(table) == len(table_lambda) == 33 * 8
+        for i in (0, 1, 32):
+            for j in range(1, 9):
+                assert table[8 * i + j - 1] == ladder_mul(j * 16**i, X)
+                assert table_lambda[8 * i + j - 1] == ladder_mul(j * 16**i * _LAMBDA, X)
+
+    def test_long_halves_need_the_33rd_row(self):
+        long_halves = []
+        for k in _LONG_HALF_SCALARS:
+            for index, half in enumerate(group_module._glv_split(k)):
+                digits = _signed_base16(half)
+                assert sum(d << (4 * i) for i, d in enumerate(digits)) == half
+                assert all(-7 <= d <= 8 for d in digits)
+                if len(digits) == 33:
+                    long_halves.append((index, half < 0))
+        assert long_halves == [(0, True), (1, True), (0, False), (1, False)]
+
+    def test_33_rows_cover_every_half_below_2_129(self):
+        assert group_module._GLV_ROWS == 33
+        (X,) = _random_points(1, seed=73)
+        table = group_module._fixed_window_rows(X, group_module._GLV_ROWS)
+        for half in (2**129 - 1, -(2**129 - 1), 2**128 + 12345, -(2**128) - 1):
+            r = group_module._fixed_window_madd((0, 1, 0), table, half)
+            assert group_module._jac_to_affine(*r) == ladder_mul(half, X)
+
+    def test_cold_and_warm_against_ladder(self, secp, prod):
+        rng = random.Random(74)
+        scalars = _PROMOTED_SCALARS + [rng.randrange(1, _N) for _ in range(4)]
+        for X in self._bases(prod):
+            for k in scalars:
+                expected = ladder_mul(k, X)
+                group_module._point_tables.clear()
+                # odd multiples, then the promotion, then the promoted table
+                for _ in range(3):
+                    assert secp._mul_value(k, X) == expected
+
+    def test_promoted_once_on_the_second_use(self, secp, table_builds):
+        X, Y = _random_points(2, seed=75)
+        builds = table_builds
+        group_module._point_tables.clear()
+        secp._mul_value(3, X)
+        secp._mul_value(5, Y)
+        assert builds == {"_odd_multiples": [X, Y], "_fixed_window_rows": []}
+        secp._mul_value(7, X)
+        assert builds["_fixed_window_rows"] == [X]
+        for k in range(8, 40):
+            secp._mul_value(k, X)
+        # Y, multiplied once, is never promoted
+        assert builds == {"_odd_multiples": [X, Y], "_fixed_window_rows": [X]}
+
+    def test_cache_never_holds_more_than_16_points(self, secp, table_builds):
+        points = _random_points(20, seed=76)
+        builds = table_builds
+        cache = group_module._point_tables
+        cache.clear()
+        for X in points:
+            for k in (3, 5):
+                secp._mul_value(k, X)
+            assert len(cache) <= 16
+        assert len(cache) == 16
+        assert builds["_fixed_window_rows"] == points
+        # the least recently used four left the cache: their next use is a
+        # first use again, while a cached point builds nothing
+        secp._mul_value(7, points[0])
+        secp._mul_value(7, points[-1])
+        assert builds["_odd_multiples"] == points + [points[0]]
+        assert builds["_fixed_window_rows"] == points
+
+    def test_least_recently_used_point_leaves_first(self, secp, table_builds):
+        points = _random_points(17, seed=79)
+        cache = group_module._point_tables
+        cache.clear()
+        for X in points[:16]:
+            secp._mul_value(3, X)
+        secp._mul_value(5, points[0])  # promoted, and now the most recent
+        for built in table_builds.values():
+            built.clear()
+        secp._mul_value(3, points[16])  # evicts points[1], not points[0]
+        secp._mul_value(7, points[0])
+        secp._mul_value(7, points[1])
+        assert table_builds == {"_odd_multiples": [points[16], points[1]],
+                                "_fixed_window_rows": []}
+
+    def test_threads_promote_fresh_points(self, secp, table_builds):
+        points = _random_points(3, seed=77)
+        rng = random.Random(78)
+        work = [[(rng.randrange(1, _N), X) for X in points for _ in range(3)]
+                for _ in range(4)]
+        expected = [[ladder_mul(k, X) for k, X in jobs] for jobs in work]
+        results = [None] * len(work)
+        start = threading.Barrier(len(work))
+
+        def run(slot):
+            start.wait(timeout=10)
+            results[slot] = [secp._mul_value(k, X) for k, X in work[slot]]
+
+        group_module._point_tables.clear()
+        _run_concurrently(run, [(slot,) for slot in range(len(work))])
+        assert results == expected
+        # every point ended promoted: one more use of each builds nothing
+        for built in table_builds.values():
+            built.clear()
+        for X in points:
+            assert secp._mul_value(11, X) == ladder_mul(11, X)
+        assert table_builds == {"_odd_multiples": [], "_fixed_window_rows": []}
 
 
 class TestCountersAcrossThreads:
