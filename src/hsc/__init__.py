@@ -19,8 +19,10 @@ Quick start::
         params, bob, alice.PK_p, sigma) == b"hello"
 
 Submodules: ``group`` (the prime-order groups), ``hashing`` (the three
-oracles), ``keys``, ``signcryption``, ``codec`` (byte formats and frames),
-``netdemo`` (TCP client/server demo), ``bench``, ``cli``.
+oracles), ``keys``, ``signcryption`` (both directions, and the table
+``DIRECTIONS`` that describes each once), ``codec`` (byte formats and
+frames), ``netdemo`` (TCP client/server demo), ``bench``, ``cli``.
+Importing ``hsc`` loads neither ``netdemo`` nor ``bench``.
 
 Research-grade code: arithmetic is not constant-time and the demo's key
 exchange is unauthenticated.

@@ -32,18 +32,15 @@ from pathlib import Path
 
 from .group import OpCounter
 from .keys import (
+    ClcKeyPair,
+    PkiKeyPair,
     SystemParams,
     clc_extract_partial,
     clc_finalize_random,
     pki_keygen,
     setup,
 )
-from .signcryption import (
-    cphs_signcrypt,
-    cphs_unsigncrypt,
-    pchs_signcrypt,
-    pchs_unsigncrypt,
-)
+from .signcryption import DIRECTIONS
 
 _system_rng = secrets.SystemRandom()
 
@@ -238,9 +235,12 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     # configuration, so costs are identical
     bparams, master = setup(group, n=params.n, l=params.l, rng=rng,
                             hash_config=params.hash)
-    sender_pki = pki_keygen(bparams, rng)
+    pki = pki_keygen(bparams, rng)
     partial = clc_extract_partial(bparams, master, _BENCH_IDENTITY, rng)
-    clc_key = clc_finalize_random(bparams, _BENCH_IDENTITY, partial, rng)
+    clc = clc_finalize_random(bparams, _BENCH_IDENTITY, partial, rng)
+    # each side's key pair and the public export its peer decodes
+    sides = {PkiKeyPair: (pki, pki.PK_p),
+             ClcKeyPair: (clc, (clc.identity, clc.public))}
 
     def keygen_once():
         p2, m2 = setup(group, n=params.n, l=params.l, rng=rng, hash_config=params.hash)
@@ -251,44 +251,33 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     algo_msgs = [rng.getrandbits(8 * msg_len).to_bytes(msg_len, "big")
                  for _ in range(algo_iterations)]
 
-    def sign_pchs(m):
-        return pchs_signcrypt(bparams, sender_pki, _BENCH_IDENTITY, clc_key.public, m, rng)
-
-    def sign_cphs(m):
-        return cphs_signcrypt(bparams, clc_key, sender_pki.PK_p, m, rng)
-
-    pchs_sigmas = [(sign_pchs(m),) for m in algo_msgs]
-    cphs_sigmas = [(sign_cphs(m),) for m in algo_msgs]
-
     report.timings.append(_summary("keygen", _time_loop(
-        lambda: keygen_once(), [() for _ in range(algo_iterations)])))
-    report.timings.append(_summary("pchs_signcrypt", _time_loop(
-        sign_pchs, [(m,) for m in algo_msgs])))
-    report.timings.append(_summary("pchs_unsigncrypt", _time_loop(
-        lambda s: pchs_unsigncrypt(bparams, clc_key, sender_pki.PK_p, s), pchs_sigmas)))
-    report.timings.append(_summary("cphs_signcrypt", _time_loop(
-        sign_cphs, [(m,) for m in algo_msgs])))
-    report.timings.append(_summary("cphs_unsigncrypt", _time_loop(
-        lambda s: cphs_unsigncrypt(bparams, sender_pki, _BENCH_IDENTITY,
-                                   clc_key.public, s), cphs_sigmas)))
-
+        keygen_once, [() for _ in range(algo_iterations)])))
     # measured per-algorithm operation counts, one scoped invocation each
     with group.counting() as c:
         keygen_once()
     report.op_counts["key_generation"] = c
 
-    with group.counting() as c:
-        sigma = sign_pchs(algo_msgs[0])
-    report.op_counts["pchs_signcrypt"] = c
-    with group.counting() as c:
-        pchs_unsigncrypt(bparams, clc_key, sender_pki.PK_p, sigma)
-    report.op_counts["pchs_unsigncrypt"] = c
+    for mode, spec in DIRECTIONS.items():
+        sender, sender_export = sides[spec.sender]
+        receiver, receiver_export = sides[spec.receiver]
 
-    with group.counting() as c:
-        sigma = sign_cphs(algo_msgs[0])
-    report.op_counts["cphs_signcrypt"] = c
-    with group.counting() as c:
-        cphs_unsigncrypt(bparams, sender_pki, _BENCH_IDENTITY, clc_key.public, sigma)
-    report.op_counts["cphs_unsigncrypt"] = c
+        def sign(m):
+            return spec.signcrypt(bparams, sender, receiver_export, m, rng)
+
+        def unsign(sigma):
+            return spec.unsigncrypt(bparams, receiver, sender_export, sigma)
+
+        sigmas = [(sign(m),) for m in algo_msgs]
+        report.timings.append(_summary(f"{mode}_signcrypt", _time_loop(
+            sign, [(m,) for m in algo_msgs])))
+        report.timings.append(_summary(f"{mode}_unsigncrypt", _time_loop(unsign, sigmas)))
+
+        with group.counting() as c:
+            sigma = sign(algo_msgs[0])
+        report.op_counts[f"{mode}_signcrypt"] = c
+        with group.counting() as c:
+            unsign(sigma)
+        report.op_counts[f"{mode}_unsigncrypt"] = c
 
     return report

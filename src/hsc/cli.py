@@ -29,10 +29,14 @@ import secrets
 import sys
 from pathlib import Path
 
-from . import codec, keys, netdemo
+from . import codec, keys
 from .group import DecodeError
 from .keys import ClcKeyPair, DegenerateKeyError, PartialKeyError, PkiKeyPair
-from .signcryption import MessageSizeError, RejectedCiphertext
+from .signcryption import DIRECTIONS, MessageSizeError, RejectedCiphertext
+
+# netdemo and bench are imported inside the commands that use them: each
+# command is a process of its own, and signcrypt, unsigncrypt and the key
+# commands need neither them nor socket and logging
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -135,7 +139,7 @@ def _cmd_export_pub(args) -> int:
 def _cmd_signcrypt(args) -> int:
     params = _load_params(args.params)
     message = _read(args.infile)
-    spec = netdemo.DIRECTIONS[args.mode]
+    spec = DIRECTIONS[args.mode]
     sender = codec.decode_keypair(_read(args.key), params, spec.sender)
     peer = _load_peer(args, params, spec.receiver)
     sigma = spec.signcrypt(params, sender, peer, message, _rng())
@@ -147,7 +151,7 @@ def _cmd_signcrypt(args) -> int:
 def _cmd_unsigncrypt(args) -> int:
     params = _load_params(args.params)
     sigma = codec.decode_ciphertext(_read(args.infile), params)
-    spec = netdemo.DIRECTIONS[args.mode]
+    spec = DIRECTIONS[args.mode]
     receiver = codec.decode_keypair(_read(args.key), params, spec.receiver)
     peer = _load_peer(args, params, spec.sender)
     message = spec.unsigncrypt(params, receiver, peer, sigma)
@@ -156,7 +160,9 @@ def _cmd_unsigncrypt(args) -> int:
     return EXIT_OK
 
 
-def _session_exit(session: netdemo.DemoSession) -> int:
+def _session_exit(session) -> int:
+    from . import netdemo
+
     print(session.format_transcript())
     print(f"outcome: {session.outcome}")
     if session.outcome == netdemo.OK:
@@ -167,29 +173,31 @@ def _session_exit(session: netdemo.DemoSession) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from . import netdemo
+
     params = _load_params(args.params)
-    key = codec.decode_keypair(_read(args.key), params,
-                               netdemo.DIRECTIONS[args.mode].receiver)
+    key = codec.decode_keypair(_read(args.key), params, DIRECTIONS[args.mode].receiver)
+    port = netdemo.DEFAULT_PORT if args.port is None else args.port
     session = netdemo.run_server(params, key, mode=args.mode,
-                                 host=args.host, port=args.port)
+                                 host=args.host, port=port)
     if session.plaintext is not None:
         print(f"received message: {session.plaintext!r}")
     return _session_exit(session)
 
 
 def _cmd_client(args) -> int:
+    from . import netdemo
+
     params = _load_params(args.params)
-    key = codec.decode_keypair(_read(args.key), params,
-                               netdemo.DIRECTIONS[args.mode].sender)
+    key = codec.decode_keypair(_read(args.key), params, DIRECTIONS[args.mode].sender)
     message = _read(args.infile)
+    port = netdemo.DEFAULT_PORT if args.port is None else args.port
     session = netdemo.run_client(params, key, message, mode=args.mode,
-                                 host=args.host, port=args.port, rng=_rng())
+                                 host=args.host, port=port, rng=_rng())
     return _session_exit(session)
 
 
 def _cmd_bench(args) -> int:
-    # imported here, not at the top: every other command starts a process
-    # of its own, and none of them needs the harness or its imports
     from . import bench
 
     if args.params is not None:
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("unsigncrypt", _cmd_unsigncrypt, "unsigncrypt a ciphertext file"),
     ):
         p = add(name, func, help_text)
-        p.add_argument("--mode", choices=tuple(netdemo.DIRECTIONS), required=True)
+        p.add_argument("--mode", choices=tuple(DIRECTIONS), required=True)
         p.add_argument("--params", required=True)
         p.add_argument("--key", required=True, help="own key pair file")
         p.add_argument("--peer", required=True, help="peer public export file")
@@ -275,11 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("client", _cmd_client, "run the demo client"),
     ):
         p = add(name, func, help_text)
-        p.add_argument("--mode", choices=tuple(netdemo.DIRECTIONS), default="pchs")
+        p.add_argument("--mode", choices=tuple(DIRECTIONS), default="pchs")
         p.add_argument("--params", required=True)
         p.add_argument("--key", required=True, help="own key pair file")
         p.add_argument("--host", default="127.0.0.1")
-        p.add_argument("--port", type=int, default=netdemo.DEFAULT_PORT)
+        # None stands for netdemo.DEFAULT_PORT, read only when the demo runs
+        p.add_argument("--port", type=int)
         if name == "client":
             p.add_argument("--in", dest="infile", required=True,
                            help="message file to send")

@@ -842,5 +842,9 @@ def make_group(name: str) -> Group:
             q = int(name[4:])
         except ValueError:
             raise ValueError(f"malformed toy group name {name!r}") from None
+        # int() also takes "013", "1_3", "+13" and spaces; only the name
+        # the group reports for itself is accepted
+        if name != f"toy-{q}":
+            raise ValueError(f"malformed toy group name {name!r}")
         return ToyGroup(q)
     raise ValueError(f"unknown group {name!r}")

@@ -131,8 +131,13 @@ def setup(
     """
     if isinstance(group, str):
         group = make_group(group)
-    if n <= 0:
-        raise ValueError("message cap n must be positive")
+    if l is None:
+        l = group.descriptor.q.bit_length()
+    # the widths of the params file's n and l fields
+    if not 0 < n < 2**32:
+        raise ValueError(f"message cap n must be in 1..{2**32 - 1}, got {n}")
+    if not 0 <= l < 2**16:
+        raise ValueError(f"security parameter l must be in 0..{2**16 - 1}, got {l}")
     rng = rng or _system_rng
     s = group.random_scalar(rng)
     P = group.generator()
@@ -142,7 +147,7 @@ def setup(
         P=P,
         Ppub=Ppub,
         n=n,
-        l=l if l is not None else group.descriptor.q.bit_length(),
+        l=l,
         hash=hash_config or HashConfig(),
     )
     return params, MasterKey(s=s)

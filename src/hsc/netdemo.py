@@ -21,7 +21,7 @@ so the two transcripts of an honest session are equal frame-by-frame and
 contain no private key material.  Any out-of-order or undecodable frame
 aborts the session with a distinct outcome code.  The client, like the
 server, also turns I/O errors and timeouts into an outcome code.
-:data:`DIRECTIONS` describes each mode once for the demo and the CLI.
+Each mode is an entry of :data:`hsc.signcryption.DIRECTIONS`.
 """
 
 from __future__ import annotations
@@ -30,13 +30,19 @@ import enum
 import logging
 import socket
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from . import codec
 from .codec import Frame, FrameType
 from .group import DecodeError
-from .keys import ClcKeyPair, PkiKeyPair, SystemParams
-from .signcryption import (
+from .keys import SystemParams
+
+# the four functions stay bound here although the table calls them from
+# signcryption: perfbench's span recorder patches netdemo.<fn> too, and
+# reads the original from this module's __dict__ first
+from .signcryption import (  # noqa: F401
+    DIRECTIONS,
+    DirectionSpec,
     RejectedCiphertext,
     cphs_signcrypt,
     cphs_unsigncrypt,
@@ -62,32 +68,6 @@ MALFORMED_PEER_KEY = "malformed-peer-key"
 VERIFY_FAILED = "verify-failed"
 NEGATIVE_STATUS = "negative-status"
 BAD_STATUS = "unexpected-status"
-
-
-@dataclass(frozen=True)
-class DirectionSpec:
-    """One signcryption direction.  `peer` is the other side's decoded
-    public export (codec.decode_public): PK_p for a PKI peer,
-    (identity, ClcPublicKey) for a certificateless one."""
-
-    sender: type  # key-pair class of the signcrypting side
-    receiver: type  # key-pair class of the unsigncrypting side
-    signcrypt: Callable  # (params, key, peer, m, rng) -> Ciphertext
-    unsigncrypt: Callable  # (params, key, peer, sigma) -> bytes
-
-
-# the entries look the signcryption functions up in this module at each
-# call, so a wrapper put in place of one of those names sees every call
-DIRECTIONS = {
-    "pchs": DirectionSpec(
-        PkiKeyPair, ClcKeyPair,
-        lambda params, key, peer, m, rng: pchs_signcrypt(params, key, *peer, m, rng),
-        lambda params, key, peer, sigma: pchs_unsigncrypt(params, key, peer, sigma)),
-    "cphs": DirectionSpec(
-        ClcKeyPair, PkiKeyPair,
-        lambda params, key, peer, m, rng: cphs_signcrypt(params, key, peer, m, rng),
-        lambda params, key, peer, sigma: cphs_unsigncrypt(params, key, *peer, sigma)),
-}
 
 
 class Role(enum.Enum):

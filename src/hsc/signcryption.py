@@ -21,6 +21,10 @@ X = PK_c1 + T + γ*Ppub for CPHS) and accepts iff R2 == H2(m, R1)*P.
 That is term for term the definitional R1 == h*P - u*X, one group
 subtraction cheaper; the tests check that the two agree.
 
+:data:`DIRECTIONS` describes each direction once -- which key-pair class
+signcrypts, which unsigncrypts, and how a decoded public export of the
+peer feeds each call -- for the CLI, the TCP demo and the bench.
+
 Operation counts per call, as measured by a surrounding counting scope:
 keygen-attributed γ recomputation excluded, signcrypt costs 4S+2H (PCHS)
 or 3S+2H (CPHS), unsigncrypt costs 4S+2H in both directions.
@@ -31,6 +35,7 @@ from __future__ import annotations
 import enum
 import secrets
 from dataclasses import dataclass
+from typing import Callable
 
 from .group import GroupElement, Scalar
 from .keys import ClcKeyPair, ClcPublicKey, PkiKeyPair, SystemParams
@@ -181,3 +186,29 @@ def cphs_unsigncrypt(
     R1 = receiver.x_p * sigma.V
     Q = sender_pub.PK_c1 + sender_pub.T + gamma * params.Ppub
     return _open(params, sigma, R1, Q)
+
+
+@dataclass(frozen=True)
+class DirectionSpec:
+    """One signcryption direction.  `peer` is the other side's decoded
+    public export (codec.decode_public): PK_p for a PKI peer,
+    (identity, ClcPublicKey) for a certificateless one."""
+
+    sender: type  # key-pair class of the signcrypting side
+    receiver: type  # key-pair class of the unsigncrypting side
+    signcrypt: Callable  # (params, key, peer, m, rng) -> Ciphertext
+    unsigncrypt: Callable  # (params, key, peer, sigma) -> bytes
+
+
+# the entries look the four functions up in this module at each call, so
+# a wrapper put in place of one of those names sees every call
+DIRECTIONS = {
+    "pchs": DirectionSpec(
+        PkiKeyPair, ClcKeyPair,
+        lambda params, key, peer, m, rng: pchs_signcrypt(params, key, *peer, m, rng),
+        lambda params, key, peer, sigma: pchs_unsigncrypt(params, key, peer, sigma)),
+    "cphs": DirectionSpec(
+        ClcKeyPair, PkiKeyPair,
+        lambda params, key, peer, m, rng: cphs_signcrypt(params, key, peer, m, rng),
+        lambda params, key, peer, sigma: cphs_unsigncrypt(params, key, *peer, sigma)),
+}

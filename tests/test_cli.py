@@ -4,6 +4,7 @@ hygiene, and seeded reproducibility."""
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,36 @@ class TestOneShotBuildsNoPromotedTable:
         assert builds
 
 
+class TestOneShotLoadsNoDemo:
+    """signcrypt and unsigncrypt load neither the TCP demo nor the bench
+    harness, nor socket and logging, which only those need."""
+
+    def test_signcrypt_and_unsigncrypt(self, workspace):
+        code = textwrap.dedent("""
+            import sys
+            from hsc import cli
+            for mode, sender, receiver, sender_pub, receiver_pub in (
+                    ("pchs", "alice.hsc", "bob.hsc", "alice.pub.hsc", "bob.pub.hsc"),
+                    ("cphs", "bob.hsc", "alice.hsc", "bob.pub.hsc", "alice.pub.hsc")):
+                common = ["--mode", mode, "--params", "params.hsc", "--force"]
+                assert cli.main(["signcrypt", *common, "--key", sender,
+                                 "--peer", receiver_pub, "--in", "msg.txt",
+                                 "--out", f"nodemo_{mode}.hsc"]) == 0
+                assert cli.main(["unsigncrypt", *common, "--key", receiver,
+                                 "--peer", sender_pub, "--in", f"nodemo_{mode}.hsc",
+                                 "--out", f"nodemo_{mode}.txt"]) == 0
+            print(sorted({"socket", "logging", "hsc.netdemo", "hsc.bench"} & set(sys.modules)))
+        """)
+        result = subprocess.run([sys.executable, "-c", code], cwd=workspace,
+                                capture_output=True, text=True, env=child_env(),
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+        for mode in ("pchs", "cphs"):
+            assert (workspace / f"nodemo_{mode}.txt").read_bytes() == \
+                (workspace / "msg.txt").read_bytes()
+
+
 class TestFileHygiene:
     def test_refuses_overwrite_without_force(self, workspace):
         result = run(["pki-keygen", "--params", "params.hsc",
@@ -183,6 +214,14 @@ class TestFileHygiene:
 
     def test_usage_error_exits_2(self, workspace):
         run(["signcrypt", "--params", "params.hsc"], workspace, expect=2)
+
+    def test_setup_n_too_wide_for_the_params_file_exits_2(self, tmp_path):
+        # n is a 4-byte field of the params file
+        result = run(["setup", "--msg-bits", "5000000000", "--params", "p.hsc",
+                      "--out", "m.hsc"], tmp_path, expect=2)
+        assert result.stderr.startswith("ERROR usage")
+        assert len(result.stderr.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_finalize_identity_mismatch_exits_3(self, workspace):
         result = run(["clc-finalize", "--params", "params.hsc",

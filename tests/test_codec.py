@@ -128,6 +128,17 @@ class TestParamsFile:
         with pytest.raises(HeaderError):
             codec.decode_params(data)
 
+    def test_non_canonical_group_name(self, toy_params):
+        # the header's group name is a length byte and the name; a name
+        # that parses to the same group is still rejected, not rewritten
+        params, _ = toy_params
+        data = codec.encode_params(params)
+        header = bytes([len(b"toy-13")]) + b"toy-13"
+        assert header in data
+        renamed = data.replace(header, bytes([len(b"toy-013")]) + b"toy-013", 1)
+        with pytest.raises(HeaderError):
+            codec.decode_params(renamed)
+
     def test_trailing_garbage(self, prod):
         with pytest.raises(CodecError):
             codec.decode_params(codec.encode_params(prod.params) + b"\x00")

@@ -357,6 +357,10 @@ class TestRegistry:
             make_group("toy-12")
         with pytest.raises(ValueError):
             make_group("toy-abc")
+        # int() takes each of these, but none is the group's own name
+        for name in ("toy-013", "toy-1_3", "toy-+13", "toy- 13", "toy-13 "):
+            with pytest.raises(ValueError):
+                make_group(name)
 
 
 # -- the 4-bit fixed-window ladder the library used before GLV -----------------

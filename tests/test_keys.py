@@ -31,6 +31,17 @@ class TestSetup:
         with pytest.raises(ValueError):
             keys.setup("toy-13", n=0)
 
+    def test_rejects_n_and_l_wider_than_the_params_file(self):
+        # the params file stores n in 4 bytes and l in 2
+        params, _ = keys.setup("toy-13", n=2**32 - 1, l=2**16 - 1)
+        codec.encode_params(params)
+        with pytest.raises(ValueError):
+            keys.setup("toy-13", n=2**32)
+        with pytest.raises(ValueError):
+            keys.setup("toy-13", l=2**16)
+        with pytest.raises(ValueError):
+            keys.setup("toy-13", l=-1)
+
     def test_default_security_bits(self, prod):
         assert prod.params.l == prod.params.group.descriptor.q.bit_length()
 

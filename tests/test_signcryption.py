@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsc import codec, keys
+from hsc import codec, keys, signcryption
 from hsc.group import DecodeError, ToyGroup
 from hsc.signcryption import (
     Ciphertext,
@@ -299,6 +299,30 @@ class TestDirectionEnforcement:
                              prod.bob.public, p_sigma)
         with pytest.raises(RejectedCiphertext):
             pchs_unsigncrypt(params, prod.bob, prod.alice.PK_p, c_sigma)
+
+
+class TestDirectionTable:
+    """Each DIRECTIONS entry calls the four functions by their names in
+    the signcryption module at call time, so a wrapper assigned to one of
+    those names sees every call made through the table."""
+
+    @pytest.mark.parametrize("mode", ["cphs", "pchs"])
+    def test_wrappers_see_every_call(self, prod, rng, monkeypatch, mode):
+        calls = []
+        for name in ("pchs_signcrypt", "pchs_unsigncrypt",
+                     "cphs_signcrypt", "cphs_unsigncrypt"):
+            def wrapper(*args, fn=getattr(signcryption, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(signcryption, name, wrapper)
+        spec = signcryption.DIRECTIONS[mode]
+        sides = {type(prod.alice): (prod.alice, prod.alice.PK_p),
+                 type(prod.bob): (prod.bob, (prod.identity, prod.bob.public))}
+        sender, sender_export = sides[spec.sender]
+        receiver, receiver_export = sides[spec.receiver]
+        sigma = spec.signcrypt(prod.params, sender, receiver_export, b"m", rng)
+        assert spec.unsigncrypt(prod.params, receiver, sender_export, sigma) == b"m"
+        assert calls == [f"{mode}_signcrypt", f"{mode}_unsigncrypt"]
 
 
 class TestMessageBounds:
