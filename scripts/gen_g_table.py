@@ -2,10 +2,11 @@
 
     python3 scripts/gen_g_table.py [OUT]
 
-OUT defaults to src/hsc/secp256k1_g_w4.bin, the file `hsc.group` loads on
-the first k*G.  Row i (i = 0..64) holds the affine points j*16^i*G for
-j = 1..8, each as 32-byte big-endian x followed by 32-byte big-endian y:
-520 points, 33,280 bytes.  The rows come from `hsc.group`'s own
+OUT defaults to src/hsc/secp256k1_g_w7.bin, the file `hsc.group` loads on
+the first k*G.  The width and the row count are `hsc.group`'s `_G_WIDTH`
+(7) and `_G_ROWS` (37): row i holds the affine points j*128^i*G for
+j = 1..64, each as 32-byte big-endian x followed by 32-byte big-endian y,
+so 2,368 points and 151,552 bytes.  The rows come from `hsc.group`'s own
 fixed-window row builder, the one that also builds the tables of
 repeatedly multiplied points.  After changing the table, put the SHA-256
 this script prints into `_G_TABLE_SHA256`.
@@ -21,15 +22,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
-from hsc.group import _GX, _GY, _fixed_window_rows  # noqa: E402
+from hsc.group import (  # noqa: E402
+    _G_ROWS, _G_TABLE_PATH, _G_WIDTH, _GX, _GY, _fixed_window_rows)
 
-ROWS = 65  # 256 / 4 digits, plus one for the carry of signed recoding
-DEFAULT_OUT = SRC / "hsc" / "secp256k1_g_w4.bin"
+DEFAULT_OUT = Path(_G_TABLE_PATH)
 
 
 def build_table() -> bytes:
     return b"".join(x.to_bytes(32, "big") + y.to_bytes(32, "big")
-                    for x, y in _fixed_window_rows((_GX, _GY), ROWS))
+                    for x, y in _fixed_window_rows((_GX, _GY), _G_ROWS, _G_WIDTH))
 
 
 def main(argv: list[str]) -> int:

@@ -2,9 +2,9 @@
 
 Times the primitive operations (scalar multiplication of pool points, of
 the fixed base P and of one point over and over, group addition,
-hash-to-scalar) and the four full algorithms plus aggregate key
-generation, each over fresh random inputs pre-generated outside the timed
-region; a caller may time a subset of the primitives alone.  On secp256k1
+hash-to-scalar, element decoding) and the four full algorithms plus
+aggregate key generation, each over fresh random inputs pre-generated
+outside the timed region; a caller may time a subset of the primitives alone.  On secp256k1
 a pool point takes the first-use GLV + wNAF path, P the shipped
 fixed-window table of the generator, and the repeated point (Ppub) the
 fixed-window table it is promoted to on its second use.  Operation counts
@@ -181,8 +181,8 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
 
     `rows`, when given, names the primitive rows to time (`scalar_mult`,
     `scalar_mult_fixed`, `scalar_mult_repeat`, `group_add`,
-    `hash_to_scalar`); the other rows, the algorithm rows and the op
-    counts are then skipped.
+    `hash_to_scalar`, `decode_element`); the other rows, the algorithm
+    rows and the op counts are then skipped.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -219,6 +219,9 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
          [(pick(i), pick(i + 1)) for i in range(iterations)]),
         ("hash_to_scalar", params.oracles.h2,
          [(msgs[i], pick(i)) for i in range(iterations)]),
+        # on secp256k1, point decompression: one modular square root
+        ("decode_element", group.decode_element,
+         [(pick(i).encode(),) for i in range(iterations)]),
     ]
     if rows is not None:
         unknown = set(rows) - {name for name, _, _ in primitives}

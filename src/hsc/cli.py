@@ -218,8 +218,23 @@ def _cmd_bench(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are one `ERROR usage:` line, like the
+    commands' own errors, with the same exit code 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"ERROR usage: {self.prog}: {message}\n")
+
+
+def _port(value: str) -> int:
+    """A TCP port, 0 (any free port) to 65535."""
+    if not (value.isdecimal() and int(value) <= 65535):
+        raise argparse.ArgumentTypeError(f"port must be 0-65535, got {value!r}")
+    return int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hsc",
         description="heterogeneous PKI<->certificateless signcryption toolkit",
     )
@@ -288,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--key", required=True, help="own key pair file")
         p.add_argument("--host", default="127.0.0.1")
         # None stands for netdemo.DEFAULT_PORT, read only when the demo runs
-        p.add_argument("--port", type=int)
+        p.add_argument("--port", type=_port)
         if name == "client":
             p.add_argument("--in", dest="infile", required=True,
                            help="message file to send")

@@ -7,17 +7,17 @@ Two interchangeable instantiations sit behind one interface:
   Python in Jacobian coordinates, and a scalar multiplication takes one of
   three paths:
 
-  * the generator P reads a signed fixed-window table that ships beside
-    this module: about 60 mixed additions and no doublings;
+  * the generator P reads a width-7 signed fixed-window table that ships
+    beside this module: about 37 mixed additions and no doublings;
   * any other point, on its first multiplication, splits k with the GLV
     endomorphism into two ~128-bit halves, recodes each as width-5 wNAF
     and runs one shared doubling chain over a table of odd multiples of
     the point built with one inversion;
   * a point multiplied a second time while it is still among the 16 most
-    recently multiplied gets a signed fixed-window table of its own, 33
-    rows per GLV half (built in about 4.5 ms, 77 KB per point), and from
-    then on costs the GLV split plus about 62 mixed additions, again with
-    no doublings.
+    recently multiplied gets a width-5 signed fixed-window table of its
+    own, 27 rows per GLV half (built in about 8 ms, 130 KB per point),
+    and from then on costs the GLV split plus about 50 mixed additions,
+    again with no doublings.
 
   This is research-grade code; it is NOT constant-time and must not be
   used where side channels matter.
@@ -503,12 +503,14 @@ if (_BETA == 1 or pow(_BETA, 3, _P) != 1 or _LAMBDA == 1 or pow(_LAMBDA, 3, _N) 
 
 _WNAF_WIDTH = 5
 _TABLE_SIZE = 1 << (_WNAF_WIDTH - 2)  # odd multiples 1, 3, ..., 15
-# Ppub and the keys of a few peers, about 77 KB each once promoted
+# Ppub and the keys of a few peers, about 8 ms and 130 KB each once promoted
 _TABLE_CACHE_SIZE = 16
-# A GLV half below 2^129 recodes into at most 33 signed base-16 digits
-# (8 * (16^33 - 1) / 15 > 2^131); 32 rows fall short of the halves that
-# _glv_split returns for some scalars.
-_GLV_ROWS = 33
+# A promoted point's tables have width 5, digits in [-15, 16].  A GLV half
+# h with |h| < 2^129 leaves a value in [-16, 16] after 25 digits (125
+# bits).  That is one more digit, except -16, which recodes as 16 and a
+# carry of -1: a negative half near -2^129 needs a 27th row.
+_GLV_WIDTH = 5
+_GLV_ROWS = 27
 
 
 def _glv_split(k: int) -> tuple[int, int]:
@@ -585,36 +587,40 @@ def _odd_multiples(point):
     return _with_lambda(tuple(_batch_affine(chain, dz)))
 
 
-def _fixed_window_rows(point, rows: int):
-    """Signed fixed window of width 4 for the affine point X (Guide to
-    ECC, 3.3): row i < rows holds the affine points j*16^i*X for
-    j = 1..8, flattened.  Each row, with 16*16^i*X as the next row's
-    base, costs one field inversion."""
+def _fixed_window_rows(point, rows: int, w: int):
+    """Signed fixed window of width w for the affine point X (Guide to
+    ECC, 3.3): row i < rows holds the affine points j*2^(w*i)*X for
+    j = 1..2^(w-1), flattened.  Each row, with 2^w*2^(w*i)*X as the next
+    row's base, costs one field inversion."""
+    half = 1 << (w - 1)
     table = []
     for _ in range(rows):
         B, B2, dz = _on_doubled_curve(point)
         acc = (*B2, 1)
         chain = [(*B, 1), acc]
-        for _ in range(3, 9):  # 3B, ..., 8B
+        for _ in range(3, half + 1):  # 3B, ..., 2^(w-1)B
             acc = _jac_madd(*acc, *B)
             chain.append(acc)
-        chain.append(_jac_double(*acc))  # 16B, the next row's base
+        chain.append(_jac_double(*acc))  # 2^w B, the next row's base
         *row, point = _batch_affine(chain, dz)
         table += row
     return tuple(table)
 
 
-def _fixed_window_madd(r, table, k: int):
-    """The Jacobian point r + k*X from the fixed-window rows of X: k,
-    of either sign, recodes into signed base-16 digits in [-7, 8], and
-    each nonzero digit costs one mixed addition, with no doubling."""
+def _fixed_window_madd(r, table, k: int, w: int):
+    """The Jacobian point r + k*X from the width-w fixed-window rows of
+    X: k, of either sign, recodes into signed base-2^w digits in
+    [-2^(w-1)+1, 2^(w-1)], and each nonzero digit costs one mixed
+    addition, with no doubling."""
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
     rx, ry, rz = r
-    row = 0  # index of the current window's 1*16^i*X
+    row = 0  # index of the current window's 1*2^(w*i)*X
     while k:
-        d = k & 15
-        k >>= 4
-        if d > 8:
-            d -= 16
+        d = k & mask
+        k >>= w
+        if d > half:
+            d -= mask + 1
             k += 1
         if d > 0:
             x, y = table[row + d - 1]
@@ -622,7 +628,7 @@ def _fixed_window_madd(r, table, k: int):
         elif d:
             x, y = table[row - d - 1]
             rx, ry, rz = _jac_madd(rx, ry, rz, x, _P - y)
-        row += 8
+        row += half
     return rx, ry, rz
 
 
@@ -649,12 +655,12 @@ def _mul_wnaf(k: int, tables):
 
 
 def _mul_promoted(k: int, tables):
-    """k*X for 0 < k < N from the 33-row fixed-window tables of X and of
-    _LAMBDA*X: GLV split, then about 62 mixed additions."""
+    """k*X for 0 < k < N from the width-5 fixed-window tables of X and of
+    _LAMBDA*X: GLV split, then about 50 mixed additions."""
     k1, k2 = _glv_split(k)
     table, table_lambda = tables
-    r = _fixed_window_madd((0, 1, 0), table, k1)
-    return _jac_to_affine(*_fixed_window_madd(r, table_lambda, k2))
+    r = _fixed_window_madd((0, 1, 0), table, k1, _GLV_WIDTH)
+    return _jac_to_affine(*_fixed_window_madd(r, table_lambda, k2, _GLV_WIDTH))
 
 
 class _PointTables:
@@ -708,19 +714,21 @@ def _mul_glv(k: int, point):
     if tables is None:
         if not seen:
             return _mul_wnaf(k, _odd_multiples(point))
-        tables = _with_lambda(_fixed_window_rows(point, _GLV_ROWS))
+        tables = _with_lambda(_fixed_window_rows(point, _GLV_ROWS, _GLV_WIDTH))
         _point_tables.promote(point, tables)
     return _mul_promoted(k, tables)
 
 
-# The generator G has the same kind of table over the whole scalar,
-# shipped with the package (libsecp256k1 ships one for ecmult_gen).  A
-# scalar below N recodes into signed base-16 digits; the carry out of the
-# top digit needs a 65th row.  scripts/gen_g_table.py writes
-# _fixed_window_rows(G, 65), as 520 big-endian x || y pairs, to the file
-# beside this module.
-_G_TABLE_PATH = os.path.join(os.path.dirname(__file__), "secp256k1_g_w4.bin")
-_G_TABLE_SHA256 = "a2f25107bbada95df26d48f81b4b56ae5b9c8adc39979ad3ccce948510970bbe"
+# The generator G has the same kind of table over the whole scalar, of
+# width 7, shipped with the package (libsecp256k1 ships one for
+# ecmult_gen).  A scalar below N < 2^256 leaves at most 15 + 1 after 36
+# digits (252 bits), one more digit in [-63, 64] with no carry: 37 rows.
+# scripts/gen_g_table.py writes _fixed_window_rows(G, _G_ROWS, _G_WIDTH),
+# as 2,368 big-endian x || y pairs, to the file beside this module.
+_G_WIDTH = 7
+_G_ROWS = 37
+_G_TABLE_PATH = os.path.join(os.path.dirname(__file__), "secp256k1_g_w7.bin")
+_G_TABLE_SHA256 = "b5e32ba460e3549f8a1660c955c3bc07bb2fe495b6e6c6d16596057881619f5e"
 _g_table = None  # the parsed table, loaded on the first k*G
 
 
@@ -745,7 +753,8 @@ def _load_g_table():
 
 def _mul_generator(k: int):
     """k*G for 0 < k < N from the shipped signed fixed-window table."""
-    return _jac_to_affine(*_fixed_window_madd((0, 1, 0), _g_table or _load_g_table(), k))
+    table = _g_table or _load_g_table()
+    return _jac_to_affine(*_fixed_window_madd((0, 1, 0), table, k, _G_WIDTH))
 
 
 class Secp256k1Group(Group):
@@ -755,11 +764,12 @@ class Secp256k1Group(Group):
     points, 33 zero bytes for the identity.  Decoding rejects anything
     non-canonical instead of normalising it.
 
-    k*P for the generator P recodes k into 65 signed base-16 digits and
+    k*P for the generator P recodes k into 37 signed base-128 digits and
     adds one precomputed affine point per nonzero digit with mixed
-    Jacobian-affine additions (madd-2007-bl).  The table is loaded from
-    `secp256k1_g_w4.bin` on the first k*P and checked against a SHA-256
-    digest; a missing or altered file raises RuntimeError.
+    Jacobian-affine additions (madd-2007-bl).  The table (2,368 points,
+    151,552 bytes) is loaded from `secp256k1_g_w7.bin` on the first k*P
+    and checked against a SHA-256 digest; a missing or altered file
+    raises RuntimeError.
 
     For any other point X, k*X splits k into k1 + k2*lambda with halves
     below 2^129 (GLV).  The first multiplication of X recodes both halves
@@ -767,12 +777,12 @@ class Secp256k1Group(Group):
     both, adding affine odd multiples of X and of lambda*X from a table
     built with one inversion.  The second multiplication of X, if X is
     still among the 16 most recently multiplied points, instead builds
-    33-row signed fixed-window tables of X and lambda*X (one inversion per
-    row, about 4.5 ms and 77 KB), which it and every later multiplication
-    of X read like the generator's: about 62 mixed additions and no
-    doublings.  So Ppub and repeated peer keys are promoted on their
-    second use, and a point used once, as in a one-shot CLI command,
-    never pays the build.  The map of recent points is shared by all
+    27-row signed fixed-window tables of width 5 of X and lambda*X (one
+    inversion per row, about 8 ms and 130 KB), which it and every later
+    multiplication of X read like the generator's: about 50 mixed
+    additions and no doublings.  So Ppub and repeated peer keys are
+    promoted on their second use, and a point used once, as in a one-shot
+    CLI command, never pays the build.  The map of recent points is shared by all
     instances and threads.
     """
 

@@ -13,7 +13,7 @@ from hsc.bench import CSV_COLUMNS, bench_run, git_commit
 
 EXPECTED_OPS = [
     "scalar_mult", "scalar_mult_fixed", "scalar_mult_repeat", "group_add",
-    "hash_to_scalar",
+    "hash_to_scalar", "decode_element",
     "keygen", "pchs_signcrypt", "pchs_unsigncrypt",
     "cphs_signcrypt", "cphs_unsigncrypt",
 ]

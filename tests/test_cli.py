@@ -213,7 +213,26 @@ class TestFileHygiene:
             workspace, expect=4)
 
     def test_usage_error_exits_2(self, workspace):
-        run(["signcrypt", "--params", "params.hsc"], workspace, expect=2)
+        result = run(["signcrypt", "--params", "params.hsc"], workspace, expect=2)
+        assert result.stderr.startswith("ERROR usage: hsc signcrypt: ")
+        assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["serve", "client"])
+    @pytest.mark.parametrize("port", ["70000", "-1", "65536", "http"])
+    def test_out_of_range_port_exits_2(self, workspace, command, port):
+        message = ["--in", "msg.txt"] if command == "client" else []
+        result = run([command, "--params", "params.hsc", "--key", "bob.hsc",
+                      *message, "--port", port], workspace, expect=2)
+        assert result.stderr == (f"ERROR usage: hsc {command}: argument --port: "
+                                 f"port must be 0-65535, got '{port}'\n")
+
+    def test_port_bounds_and_default_parse(self):
+        from hsc import cli
+        base = ["client", "--params", "p.hsc", "--key", "k.hsc", "--in", "m.txt"]
+        parser = cli.build_parser()
+        assert parser.parse_args(base).port is None
+        for port in (0, 7050, 65535):
+            assert parser.parse_args(base + ["--port", str(port)]).port == port
 
     def test_setup_n_too_wide_for_the_params_file_exits_2(self, tmp_path):
         # n is a 4-byte field of the params file

@@ -2,6 +2,7 @@
 curve vs an independent affine implementation and vs the 4-bit ladder
 it used before GLV, encodings, counters."""
 
+import functools
 import hashlib
 import random
 import runpy
@@ -10,7 +11,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hsc import group as group_module
 from hsc.group import (
@@ -599,21 +600,29 @@ class TestGlvAgainstLadder:
         assert results == expected
 
 
-_CARRY_SCALARS = [_N - 1, 9 << 252, int("8" * 63 + "9", 16)]
-_GEN_TABLE_SCALARS = EDGE_SCALARS + [2**255, 2**256 % _N, 2**257 % _N] + _CARRY_SCALARS
+# scalars whose signed base-128 recoding carries into the 37th row
+_CARRY_SCALARS = [_N - 1, 65 << 245, sum(65 << (7 * i) for i in range(36))]
+_GEN_TABLE_SCALARS = (EDGE_SCALARS + [2**255, 2**256 % _N, 2**257 % _N]
+                      + [_N - 1, 9 << 252, int("8" * 63 + "9", 16)] + _CARRY_SCALARS[1:])
 
 
-def _signed_base16(k):
-    """Signed base-16 digits of k in [-7, 8], least significant first."""
+def _signed_digits(k, w):
+    """Signed base-2^w digits of k in [-2^(w-1)+1, 2^(w-1)], least
+    significant first."""
     digits = []
     while k:
-        d = k & 15
-        k >>= 4
-        if d > 8:
-            d -= 16
+        d = k % (1 << w)
+        k //= 1 << w
+        if d > 1 << (w - 1):
+            d -= 1 << w
             k += 1
         digits.append(d)
     return digits
+
+
+def _digits_ok(k, w, digits):
+    return (sum(d << (w * i) for i, d in enumerate(digits)) == k
+            and all(-(1 << (w - 1)) < d <= 1 << (w - 1) for d in digits))
 
 
 def _glv_of_generator(k):
@@ -630,13 +639,21 @@ class TestGeneratorTable:
         with open(group_module._G_TABLE_PATH, "rb") as f:
             shipped = f.read()
         assert built == shipped
-        assert len(shipped) == 65 * 8 * 64
+        assert len(shipped) == 37 * 64 * 64
         assert hashlib.sha256(shipped).hexdigest() == group_module._G_TABLE_SHA256
 
     def test_file_sits_next_to_the_group_module(self):
-        path = Path(group_module.__file__).with_name("secp256k1_g_w4.bin")
+        path = Path(group_module.__file__).with_name("secp256k1_g_w7.bin")
         assert path.is_file()
         assert Path(group_module._G_TABLE_PATH) == path
+
+    def test_every_table_file_is_package_data(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as f:
+            package_data = tomllib.load(f)["tool"]["setuptools"]["package-data"]["hsc"]
+        shipped = sorted(path.name for path in (root / "src" / "hsc").glob("*.bin"))
+        assert shipped and set(shipped) <= set(package_data)
 
     def test_random_scalars_match_glv_and_ladder(self, secp):
         rng = random.Random(61)
@@ -646,12 +663,12 @@ class TestGeneratorTable:
             assert value == _glv_of_generator(k)
             assert value == ladder_mul(k, _GEN)
 
-    def test_carry_scalars_need_the_65th_row(self):
+    def test_carry_scalars_need_the_37th_row(self):
         for k in _CARRY_SCALARS:
-            digits = _signed_base16(k)
-            assert len(digits) == 65 and digits[-1] == 1
-            assert sum(d << (4 * i) for i, d in enumerate(digits)) == k
-            assert all(-7 <= d <= 8 for d in digits)
+            digits = _signed_digits(k, 7)
+            # the top row holds the scalar's top 4 bits plus a carry
+            assert len(digits) == 37 and digits[-1] == (k >> 252) + 1
+            assert _digits_ok(k, 7, digits)
 
     @pytest.mark.parametrize("k", _GEN_TABLE_SCALARS)
     def test_edge_scalars(self, secp, k):
@@ -679,13 +696,13 @@ class TestGeneratorTable:
         secp._mul_value(5, prod.params.Ppub.value)
         assert group_module._g_table is None
         secp._mul_value(5, _GEN)
-        assert len(group_module._g_table) == 520
+        assert len(group_module._g_table) == 37 * 64
 
     def test_corrupted_table_raises(self, secp, tmp_path, monkeypatch):
         with open(group_module._G_TABLE_PATH, "rb") as f:
             data = bytearray(f.read())
         data[1000] ^= 1
-        corrupt = tmp_path / "secp256k1_g_w4.bin"
+        corrupt = tmp_path / "secp256k1_g_w7.bin"
         corrupt.write_bytes(bytes(data))
         monkeypatch.setattr(group_module, "_G_TABLE_PATH", str(corrupt))
         monkeypatch.setattr(group_module, "_g_table", None)
@@ -715,8 +732,7 @@ class TestGeneratorTable:
         assert results == expected
 
 
-# scalars one of whose GLV halves needs all 33 signed base-16 digits, in
-# the order negative k1, negative k2, positive k1, positive k2
+# scalars with GLV halves of 127 and 128 bits, of both signs and indices
 _LONG_HALF_SCALARS = [
     0x7F26144B98289FCD59A54A7BB1FEE08F571242425051C1CCD17F9ACAE01F5057,
     0x9A2EF80F58EE8571F4998D7C4093F6DEA268AA872607679D6050914A9D33A01C,
@@ -726,9 +742,17 @@ _LONG_HALF_SCALARS = [
 _PROMOTED_SCALARS = [1, 2, 8, 9, 16, _N - 1] + _LONG_HALF_SCALARS
 
 
+@functools.cache
+def _promoted_table():
+    """A random point X and its width-5 fixed-window rows, built once."""
+    (X,) = _random_points(1, seed=73)
+    return X, group_module._fixed_window_rows(X, group_module._GLV_ROWS,
+                                              group_module._GLV_WIDTH)
+
+
 class TestPromotedTable:
-    """A point other than G gets 33-row fixed-window tables of its own on
-    its second multiplication while it is still cached."""
+    """A point other than G gets 27-row fixed-window tables of width 5 of
+    its own on its second multiplication while it is still cached."""
 
     def _bases(self, prod):
         X, Y = _random_points(2, seed=71)
@@ -738,31 +762,32 @@ class TestPromotedTable:
     def test_rows_are_fixed_window_multiples(self):
         (X,) = _random_points(1, seed=72)
         table, table_lambda = group_module._with_lambda(
-            group_module._fixed_window_rows(X, 33))
-        assert len(table) == len(table_lambda) == 33 * 8
-        for i in (0, 1, 32):
-            for j in range(1, 9):
-                assert table[8 * i + j - 1] == ladder_mul(j * 16**i, X)
-                assert table_lambda[8 * i + j - 1] == ladder_mul(j * 16**i * _LAMBDA, X)
+            group_module._fixed_window_rows(X, 27, 5))
+        assert len(table) == len(table_lambda) == 27 * 16
+        for i in (0, 1, 26):
+            for j in range(1, 17):
+                assert table[16 * i + j - 1] == ladder_mul(j * 32**i, X)
+                assert table_lambda[16 * i + j - 1] == ladder_mul(j * 32**i * _LAMBDA, X)
 
-    def test_long_halves_need_the_33rd_row(self):
-        long_halves = []
+    def test_long_halves_need_the_26th_row(self):
+        seen = set()
         for k in _LONG_HALF_SCALARS:
             for index, half in enumerate(group_module._glv_split(k)):
-                digits = _signed_base16(half)
-                assert sum(d << (4 * i) for i, d in enumerate(digits)) == half
-                assert all(-7 <= d <= 8 for d in digits)
-                if len(digits) == 33:
-                    long_halves.append((index, half < 0))
-        assert long_halves == [(0, True), (1, True), (0, False), (1, False)]
+                digits = _signed_digits(half, 5)
+                assert _digits_ok(half, 5, digits)
+                assert len(digits) == 26
+                seen.add((index, half < 0))
+        assert seen == {(0, True), (1, True), (0, False), (1, False)}
 
-    def test_33_rows_cover_every_half_below_2_129(self):
-        assert group_module._GLV_ROWS == 33
-        (X,) = _random_points(1, seed=73)
-        table = group_module._fixed_window_rows(X, group_module._GLV_ROWS)
+    def test_27_rows_cover_every_half_below_2_129(self):
+        assert (group_module._GLV_WIDTH, group_module._GLV_ROWS) == (5, 27)
+        X, table = _promoted_table()
         for half in (2**129 - 1, -(2**129 - 1), 2**128 + 12345, -(2**128) - 1):
-            r = group_module._fixed_window_madd((0, 1, 0), table, half)
+            r = group_module._fixed_window_madd((0, 1, 0), table, half, 5)
             assert group_module._jac_to_affine(*r) == ladder_mul(half, X)
+        # -16 recodes as 16 and a carry of -1: the 27th row
+        assert len(_signed_digits(-(2**129 - 1), 5)) == 27
+        assert max(len(_signed_digits(h, 5)) for h in range(2**129 - 40, 2**129)) == 26
 
     def test_cold_and_warm_against_ladder(self, secp, prod):
         rng = random.Random(74)
@@ -844,6 +869,33 @@ class TestPromotedTable:
         for X in points:
             assert secp._mul_value(11, X) == ladder_mul(11, X)
         assert table_builds == {"_odd_multiples": [], "_fixed_window_rows": []}
+
+
+class TestSignedDigitLoop:
+    """_fixed_window_madd at both widths in use against the ladder: the
+    shipped width-7 table over scalars below N, and width-5 rows over GLV
+    halves of either sign below 2^129."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(0, _N - 1))
+    @example(k=_N - 1)
+    @example(k=_CARRY_SCALARS[1])
+    @example(k=_CARRY_SCALARS[2])
+    def test_generator_table(self, k):
+        table = group_module._g_table or group_module._load_g_table()
+        r = group_module._fixed_window_madd((0, 1, 0), table, k, group_module._G_WIDTH)
+        assert group_module._jac_to_affine(*r) == ladder_mul(k, _GEN)
+
+    @settings(max_examples=100, deadline=None)
+    @given(half=st.integers(-(2**129) + 1, 2**129 - 1))
+    @example(half=2**129 - 1)
+    @example(half=-(2**129 - 1))
+    @example(half=2**125 - 1)  # carries into the 26th row
+    @example(half=-31 << 124)  # carries into the 27th row
+    def test_promoted_rows(self, half):
+        X, table = _promoted_table()
+        r = group_module._fixed_window_madd((0, 1, 0), table, half, group_module._GLV_WIDTH)
+        assert group_module._jac_to_affine(*r) == ladder_mul(half, X)
 
 
 class TestCountersAcrossThreads:
