@@ -35,8 +35,7 @@ from .keys import (
     ClcKeyPair,
     PkiKeyPair,
     SystemParams,
-    clc_extract_partial,
-    clc_finalize_random,
+    clc_keygen,
     pki_keygen,
     setup,
 )
@@ -128,27 +127,42 @@ class BenchReport:
 
 
 def git_commit(start: Path) -> str | None:
-    """The commit checked out in the nearest `.git` directory at or above
+    """The commit checked out in the nearest git checkout at or above
     `start`, read from its files without running git; None outside a
     checkout."""
     for directory in (start, *start.parents):
         git_dir = directory / ".git"
-        if git_dir.is_dir():
+        if git_dir.exists():
             break
     else:
         return None
     try:
+        if git_dir.is_file():
+            # a submodule or a linked worktree: "gitdir: <path>", relative
+            # to the directory that holds the file
+            text = git_dir.read_text().strip()
+            if not text.startswith("gitdir: "):
+                return None
+            git_dir = git_dir.parent / text[len("gitdir: "):]
         head = (git_dir / "HEAD").read_text().strip()
         if not head.startswith("ref: "):
             return head  # detached HEAD
         ref = head[len("ref: "):]
-        loose = git_dir / ref
-        if loose.is_file():
-            return loose.read_text().strip()
-        for line in (git_dir / "packed-refs").read_text().splitlines():
-            commit, _, name = line.partition(" ")
-            if name == ref:
-                return commit
+        ref_dirs = [git_dir]
+        # a linked worktree finds its branches in the git directory its
+        # commondir names
+        if (git_dir / "commondir").is_file():
+            ref_dirs.append(git_dir / (git_dir / "commondir").read_text().strip())
+        for ref_dir in ref_dirs:
+            loose = ref_dir / ref
+            if loose.is_file():
+                return loose.read_text().strip()
+            packed = ref_dir / "packed-refs"
+            if packed.is_file():
+                for line in packed.read_text().splitlines():
+                    commit, _, name = line.partition(" ")
+                    if name == ref:
+                        return commit
     except OSError:
         pass
     return None
@@ -236,20 +250,14 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     # key material for the algorithm benchmarks; the bench provisions its
     # own hierarchy (the caller's master key is secret), same group and
     # configuration, so costs are identical
-    bparams, master = setup(group, n=params.n, l=params.l, rng=rng,
-                            hash_config=params.hash)
-    pki = pki_keygen(bparams, rng)
-    partial = clc_extract_partial(bparams, master, _BENCH_IDENTITY, rng)
-    clc = clc_finalize_random(bparams, _BENCH_IDENTITY, partial, rng)
+    def keygen_once():
+        p2, m2 = setup(group, n=params.n, l=params.l, rng=rng, hash_config=params.hash)
+        return p2, pki_keygen(p2, rng), clc_keygen(p2, m2, _BENCH_IDENTITY, rng)
+
+    bparams, pki, clc = keygen_once()
     # each side's key pair and the public export its peer decodes
     sides = {PkiKeyPair: (pki, pki.PK_p),
              ClcKeyPair: (clc, (clc.identity, clc.public))}
-
-    def keygen_once():
-        p2, m2 = setup(group, n=params.n, l=params.l, rng=rng, hash_config=params.hash)
-        pki_keygen(p2, rng)
-        pt = clc_extract_partial(p2, m2, _BENCH_IDENTITY, rng)
-        clc_finalize_random(p2, _BENCH_IDENTITY, pt, rng)
 
     algo_msgs = [rng.getrandbits(8 * msg_len).to_bytes(msg_len, "big")
                  for _ in range(algo_iterations)]

@@ -32,7 +32,7 @@ from pathlib import Path
 from . import codec, keys
 from .group import DecodeError
 from .keys import ClcKeyPair, DegenerateKeyError, PartialKeyError, PkiKeyPair
-from .signcryption import DIRECTIONS, MessageSizeError, RejectedCiphertext
+from .signcryption import DIRECTIONS, RejectedCiphertext
 
 # netdemo and bench are imported inside the commands that use them: each
 # command is a process of its own, and signcrypt, unsigncrypt and the key
@@ -178,8 +178,9 @@ def _cmd_serve(args) -> int:
     params = _load_params(args.params)
     key = codec.decode_keypair(_read(args.key), params, DIRECTIONS[args.mode].receiver)
     port = netdemo.DEFAULT_PORT if args.port is None else args.port
-    session = netdemo.run_server(params, key, mode=args.mode,
-                                 host=args.host, port=port)
+    with netdemo.DemoServer(params, key, mode=args.mode,
+                            host=args.host, port=port) as server:
+        session = server.serve_one()
     if session.plaintext is not None:
         print(f"received message: {session.plaintext!r}")
     return _session_exit(session)
@@ -335,9 +336,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ERROR io: {exc}", file=sys.stderr)
         return EXIT_IO
-    except MessageSizeError as exc:
-        print(f"ERROR usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"ERROR usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

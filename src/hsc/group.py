@@ -12,18 +12,19 @@ Two interchangeable instantiations sit behind one interface:
   * any other point, on its first multiplication, splits k with the GLV
     endomorphism into two ~128-bit halves, recodes each as width-5 wNAF
     and runs one shared doubling chain over a table of odd multiples of
-    the point built with one inversion;
+    the point, built on an isomorphic curve with one inversion;
   * a point multiplied a second time while it is still among the 16 most
     recently multiplied gets a width-5 signed fixed-window table of its
-    own, 27 rows per GLV half (built in about 8 ms, 130 KB per point),
-    and from then on costs the GLV split plus about 50 mixed additions,
-    again with no doublings.
+    own, 27 rows per GLV half, each row built on secp256k1 itself with
+    one inversion (about 7.5 ms and 130 KB per point), and from then on
+    costs the GLV split plus about 50 mixed additions, again with no
+    doublings.
 
   This is research-grade code; it is NOT constant-time and must not be
   used where side channels matter.
 
-- :class:`ToyGroup` -- the additive group of integers modulo a small prime
-  q with generator 1.  Cryptographically worthless, but every operation
+- :class:`ToyGroup` -- the additive group of integers modulo a prime
+  q >= 13 with generator 1.  Cryptographically worthless, but every operation
   equals plain modular arithmetic, which makes hand-checkable test vectors
   and brute-force oracles possible.
 
@@ -390,6 +391,10 @@ class ToyGroup(Group):
         super().__init__()
         if not _is_prime(q):
             raise ValueError(f"toy group order must be prime, got {q}")
+        # below 13 some (master key, identity) pairs have no t with
+        # t + s*H1(id, t*P) != 0, so CLC extraction would never return
+        if q < 13:
+            raise ValueError(f"toy group order must be at least 13, got {q}")
         nbytes = (q.bit_length() + 7) // 8
         self.descriptor = GroupDescriptor(
             name=f"toy-{q}", q=q, scalar_len=nbytes, element_len=nbytes
@@ -503,7 +508,7 @@ if (_BETA == 1 or pow(_BETA, 3, _P) != 1 or _LAMBDA == 1 or pow(_LAMBDA, 3, _N) 
 
 _WNAF_WIDTH = 5
 _TABLE_SIZE = 1 << (_WNAF_WIDTH - 2)  # odd multiples 1, 3, ..., 15
-# Ppub and the keys of a few peers, about 8 ms and 130 KB each once promoted
+# Ppub and the keys of a few peers, about 7.5 ms and 130 KB each once promoted
 _TABLE_CACHE_SIZE = 16
 # A promoted point's tables have width 5, digits in [-15, 16].  A GLV half
 # h with |h| < 2^129 leaves a value in [-16, 16] after 25 digits (125
@@ -539,32 +544,19 @@ def _wnaf(k: int) -> list[int]:
     return digits
 
 
-def _on_doubled_curve(point):
-    """The affine point X and 2X = (dx, dy) as affine points of the
-    isomorphic curve y^2 = x^3 + 7*dz^6, and dz.  X is (x*dz^2, y*dz^3)
-    there.  Neither madd nor the a = 0 doubling reads the curve constant,
-    so a chain of multiples of X runs there; a point (X', Y', Z') there is
-    (X', Y', Z'*dz) on secp256k1."""
-    x, y = point
-    dx, dy, dz = _jac_double(x, y, 1)
-    dz2 = dz * dz % _P
-    return (x * dz2 % _P, y * dz2 % _P * dz % _P), (dx, dy), dz
-
-
-def _batch_affine(chain, dz):
-    """The affine points (X, Y, Z*dz) for (X, Y, Z) in chain, from one
-    field inversion (Montgomery's trick); no Z may be 0."""
+def _batch_affine(chain):
+    """The affine points of the Jacobian points in chain, from one field
+    inversion (Montgomery's trick); no Z may be 0."""
     p = _P
-    zs = [Z * dz % p for _, _, Z in chain]
     prefix = [1]
-    for z in zs:
-        prefix.append(prefix[-1] * z % p)
+    for _, _, Z in chain:
+        prefix.append(prefix[-1] * Z % p)
     inv = pow(prefix[-1], -1, p)
     out = [None] * len(chain)
     for i in reversed(range(len(chain))):
+        X, Y, Z = chain[i]
         zi = inv * prefix[i] % p
-        inv = inv * zs[i] % p
-        X, Y, _ = chain[i]
+        inv = inv * Z % p
         zi2 = zi * zi % p
         out[i] = (X * zi2 % p, Y * zi2 % p * zi % p)
     return out
@@ -577,32 +569,40 @@ def _with_lambda(table):
 
 def _odd_multiples(point):
     """Affine 1X, 3X, ..., 15X for the affine point X, and the same
-    multiples of _LAMBDA*X, from one field inversion."""
-    X, X2, dz = _on_doubled_curve(point)
-    acc = (*X, 1)
-    chain = [acc]
+    multiples of _LAMBDA*X, from one field inversion.  The chain adds
+    2X = (dx, dy, dz) by mixed addition on the isomorphic curve
+    y^2 = x^3 + 7*dz^6, where 2X is (dx, dy) and X is (x*dz^2, y*dz^3);
+    madd reads no curve constant, and (X', Y', Z') there is
+    (X', Y', Z'*dz) on secp256k1."""
+    p = _P
+    x, y = point
+    dx, dy, dz = _jac_double(x, y, 1)
+    dz2 = dz * dz % p
+    acc = (x * dz2 % p, y * dz2 % p * dz % p, 1)
+    chain = [(x, y, 1)]
     for _ in range(_TABLE_SIZE - 1):
-        acc = _jac_madd(*acc, *X2)
-        chain.append(acc)
-    return _with_lambda(tuple(_batch_affine(chain, dz)))
+        acc = _jac_madd(*acc, dx, dy)
+        chain.append((acc[0], acc[1], acc[2] * dz % p))
+    return _with_lambda(tuple(_batch_affine(chain)))
 
 
 def _fixed_window_rows(point, rows: int, w: int):
     """Signed fixed window of width w for the affine point X (Guide to
     ECC, 3.3): row i < rows holds the affine points j*2^(w*i)*X for
-    j = 1..2^(w-1), flattened.  Each row, with 2^w*2^(w*i)*X as the next
-    row's base, costs one field inversion."""
+    j = 1..2^(w-1), flattened.  Each row doubles its affine base B, adds
+    B by mixed addition up to 2^(w-1)*B, doubles again for the next
+    row's base, and costs one field inversion."""
     half = 1 << (w - 1)
     table = []
     for _ in range(rows):
-        B, B2, dz = _on_doubled_curve(point)
-        acc = (*B2, 1)
-        chain = [(*B, 1), acc]
+        x, y = point
+        acc = _jac_double(x, y, 1)
+        chain = [(x, y, 1), acc]
         for _ in range(3, half + 1):  # 3B, ..., 2^(w-1)B
-            acc = _jac_madd(*acc, *B)
+            acc = _jac_madd(*acc, x, y)
             chain.append(acc)
-        chain.append(_jac_double(*acc))  # 2^w B, the next row's base
-        *row, point = _batch_affine(chain, dz)
+        chain.append(_jac_double(*acc))
+        *row, point = _batch_affine(chain)
         table += row
     return tuple(table)
 
@@ -778,7 +778,7 @@ class Secp256k1Group(Group):
     built with one inversion.  The second multiplication of X, if X is
     still among the 16 most recently multiplied points, instead builds
     27-row signed fixed-window tables of width 5 of X and lambda*X (one
-    inversion per row, about 8 ms and 130 KB), which it and every later
+    inversion per row, about 7.5 ms and 130 KB), which it and every later
     multiplication of X read like the generator's: about 50 mixed
     additions and no doublings.  So Ppub and repeated peer keys are
     promoted on their second use, and a point used once, as in a one-shot

@@ -285,16 +285,6 @@ class DemoServer:
         self.close()
 
 
-def run_server(params: SystemParams, key, *, mode: str = "pchs",
-               host: str = "127.0.0.1", port: int = DEFAULT_PORT,
-               timeout: float = DEFAULT_TIMEOUT) -> DemoSession:
-    """Serve exactly one demo session; returns its transcript.  The
-    server needs no randomness: unsigncryption is deterministic."""
-    with DemoServer(params, key, mode=mode, host=host, port=port,
-                    timeout=timeout) as server:
-        return server.serve_one()
-
-
 def run_client(params: SystemParams, key, message: bytes, *,
                mode: str = "pchs", host: str = "127.0.0.1",
                port: int = DEFAULT_PORT, timeout: float = DEFAULT_TIMEOUT,

@@ -194,3 +194,29 @@ class TestGitCommit:
 
     def test_unborn_branch(self, tmp_path):
         assert git_commit(self._repo(tmp_path, "ref: refs/heads/main\n")) is None
+
+    def test_submodule_reads_its_own_git_dir(self, tmp_path):
+        # the submodule's .git is a file naming a directory inside the
+        # enclosing repository's .git, whose own HEAD is another commit
+        outer = self._repo(tmp_path, "ref: refs/heads/main\n")
+        (outer / ".git" / "refs" / "heads" / "main").write_text("1" * 40 + "\n")
+        modules = outer / ".git" / "modules" / "sub"
+        modules.mkdir(parents=True)
+        (modules / "HEAD").write_text(self.COMMIT + "\n")
+        (outer / "sub" / "pkg").mkdir(parents=True)
+        (outer / "sub" / ".git").write_text("gitdir: ../.git/modules/sub\n")
+        assert git_commit(outer / "sub" / "pkg") == self.COMMIT
+
+    def test_linked_worktree_reads_refs_from_its_commondir(self, tmp_path):
+        main = self._repo(tmp_path / "main", "ref: refs/heads/main\n")
+        (main / ".git" / "refs" / "heads" / "main").write_text("1" * 40 + "\n")
+        (main / ".git" / "packed-refs").write_text(
+            f"{self.COMMIT} refs/heads/feature\n")
+        worktree_dir = main / ".git" / "worktrees" / "wt"
+        worktree_dir.mkdir(parents=True)
+        (worktree_dir / "HEAD").write_text("ref: refs/heads/feature\n")
+        (worktree_dir / "commondir").write_text("../..\n")
+        wt = tmp_path / "wt"
+        wt.mkdir()
+        (wt / ".git").write_text(f"gitdir: {worktree_dir}\n")
+        assert git_commit(wt) == self.COMMIT

@@ -284,6 +284,13 @@ class TestToyGroupLifecycle:
              "--peer", "b.pub.hsc", "--in", "s.hsc", "--out", "o.txt"], ws)
         assert (ws / "o.txt").read_bytes() == b"tiny"
 
+    def test_setup_on_an_order_below_13_exits_2(self, tmp_path):
+        result = run(["setup", "--group", "toy-3", "--params", "p.hsc",
+                      "--out", "m.hsc"], tmp_path, expect=2)
+        assert result.stderr.startswith("ERROR usage: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBenchCommand:
     def test_bench_emits_table_and_csv(self, tmp_path):

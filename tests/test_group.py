@@ -363,6 +363,15 @@ class TestRegistry:
             with pytest.raises(ValueError):
                 make_group(name)
 
+    @pytest.mark.parametrize("name, message", [
+        ("toy-2", "at least 13"), ("toy-3", "at least 13"),
+        ("toy-11", "at least 13"), ("toy-12", "must be prime")])
+    def test_rejects_orders_below_13(self, name, message):
+        # CLC extraction would never return on some keys of these groups;
+        # primality is checked first
+        with pytest.raises(ValueError, match=message):
+            make_group(name)
+
 
 # -- the 4-bit fixed-window ladder the library used before GLV -----------------
 # Kept as the oracle for the GLV + wNAF + mixed-add path: Jacobian
@@ -533,6 +542,17 @@ class TestMixedAdd:
     def test_distinct_inputs_match_affine(self):
         X, Y = _random_points(2, seed=24)
         assert _to_affine(*group_module._jac_madd(*_jacobian(X, 99), *Y)) == affine_add(X, Y)
+
+
+class TestBatchAffine:
+    # 17: a width-5 row plus the next base; 65: a width-7 row plus the next base
+    @pytest.mark.parametrize("length", [1, 2, 17, 65])
+    def test_matches_one_inversion_per_point(self, length):
+        rng = random.Random(length)
+        chain = [_jacobian(X, rng.randrange(1, _P))
+                 for X in _random_points(length, seed=25 + length)]
+        assert group_module._batch_affine(chain) == \
+            [group_module._jac_to_affine(*point) for point in chain]
 
 
 class TestOddMultiplesTable:
