@@ -9,6 +9,8 @@ nonces and outputs are fixed.  The set covers every one-shot subcommand
 unsigncrypt), both modes, `--id`, `--force`, and inputs of the wrong
 kind, tampered, truncated, empty, oversized and for the wrong direction,
 on secp256k1 and on toy-101, plus the help texts of every subcommand.
+On the toy group it also runs CLC key files with a degenerate secret
+(x_c = 0, and x_c + d = 0).
 The second PKI key pair, which must differ from the first, is made under
 HSC_SEED=8.
 
@@ -153,6 +155,18 @@ def _commands(group: str, d: Path):
         (d / "renamed.hsc").write_bytes(data.replace(
             bytes([len(name)]) + name, bytes([len(renamed)]) + renamed, 1))
         yield ["pki-keygen", "--params", "renamed.hsc", "--out", "renamed_key.hsc"], SEED
+        # degenerate CLC keys: a toy key file ends in x_c, d, T and PK_c1,
+        # one byte each; set x_c to 0, then to q - d
+        key = bytearray((d / "bob.hsc").read_bytes())
+        q = int(group[len("toy-"):])
+        for name, x_c in (("zero_xc", 0), ("minus_d", q - key[-3])):
+            key[-4] = x_c
+            (d / f"{name}.hsc").write_bytes(bytes(key))
+            yield ["export-pub", *P, "--key", f"{name}.hsc", "--out", f"{name}.pub"], SEED
+            yield ["signcrypt", "--mode", "cphs", *P, "--key", f"{name}.hsc",
+                   "--peer", "alice.pub", "--in", "msg.txt", "--out", f"{name}.ct"], SEED
+            yield ["unsigncrypt", "--mode", "pchs", *P, "--key", f"{name}.hsc",
+                   "--peer", "alice.pub", "--in", "pchs.ct", "--out", f"{name}.out"], SEED
     yield ["setup", "--group", "toy-12", "--params", "t12.hsc", "--out", "t12m.hsc"], SEED
 
 

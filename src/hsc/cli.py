@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import os
 import random
-import secrets
 import sys
 from pathlib import Path
 
@@ -45,10 +44,9 @@ EXIT_IO = 4
 
 
 def _rng():
+    """The HSC_SEED generator, or None for Group.random_scalar's CSPRNG."""
     seed = os.environ.get("HSC_SEED")
-    if seed is not None:
-        return random.Random(int(seed))
-    return secrets.SystemRandom()
+    return None if seed is None else random.Random(int(seed))
 
 
 def _read(path: str) -> bytes:

@@ -259,8 +259,10 @@ def decode_params(data: bytes) -> SystemParams:
 #
 # A key file is its header followed by the fields of its kind's layout, in
 # order: a scalar is scalar_len bytes, an element element_len bytes, and
-# bytes a 4-byte length prefix plus the data.  Public exports hold no
-# scalar.  Field names are the attribute names of the decoded objects.
+# bytes a 4-byte length prefix plus the data.  Every scalar is a secret
+# that key generation never makes zero, so decoding refuses zero; public
+# exports hold no scalar.  Field names are the attribute names of the
+# decoded objects.
 
 SCALAR, ELEMENT, BYTES = "scalar", "element", "bytes"
 
@@ -303,6 +305,8 @@ def _decode_fields(data: bytes, params: SystemParams, kind: FileKind) -> dict:
     for name, field_type in LAYOUTS[kind]:
         if field_type == SCALAR:
             fields[name] = g.decode_scalar(r.take(g.descriptor.scalar_len))
+            if fields[name].is_zero():
+                raise CodecError(f"secret scalar {name} must be nonzero")
         elif field_type == ELEMENT:
             fields[name] = g.decode_element(r.take(g.descriptor.element_len))
         else:
@@ -316,10 +320,7 @@ def encode_master(params: SystemParams, master: MasterKey) -> bytes:
 
 
 def decode_master(data: bytes, params: SystemParams) -> MasterKey:
-    master = MasterKey(**_decode_fields(data, params, FileKind.MASTER))
-    if master.s.is_zero():
-        raise CodecError("master key must be nonzero")
-    return master
+    return MasterKey(**_decode_fields(data, params, FileKind.MASTER))
 
 
 def encode_pki_keypair(params: SystemParams, key: PkiKeyPair) -> bytes:
@@ -340,7 +341,11 @@ def decode_clc_keypair(data: bytes, params: SystemParams) -> ClcKeyPair:
 
 def decode_keypair(data: bytes, params: SystemParams, key_class: type):
     """Decode the key file of a PkiKeyPair or ClcKeyPair `key_class`."""
-    return key_class(**_decode_fields(data, params, _KEYPAIR_KINDS[key_class][0]))
+    key = key_class(**_decode_fields(data, params, _KEYPAIR_KINDS[key_class][0]))
+    # the rule keys.clc_finalize enforces when it makes the key
+    if key_class is ClcKeyPair and (key.x_c + key.d).is_zero():
+        raise CodecError("x_c + d must be nonzero")
+    return key
 
 
 def encode_partial_key(params: SystemParams, identity: bytes, partial: ClcPartialKey) -> bytes:
@@ -418,4 +423,4 @@ def read_frame(source) -> Frame:
     length = int.from_bytes(header[1:5], "big")
     if length > MAX_FRAME_PAYLOAD:
         raise ProtocolError(f"frame length {length} exceeds cap")
-    return Frame(type_tag=tag, payload=_read_exact(source, length) if length else b"")
+    return Frame(type_tag=tag, payload=_read_exact(source, length))

@@ -42,6 +42,7 @@ import contextlib
 import contextvars
 import hashlib
 import os
+import secrets
 import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -206,6 +207,10 @@ class GroupElement:
         return f"GroupElement({self.group.descriptor.name}, {self.value!r})"
 
 
+# the draw for Group.random_scalar when its caller passes no rng
+_system_rng = secrets.SystemRandom()
+
+
 class Group:
     """Abstract prime-order cyclic group with canonical byte encodings.
 
@@ -266,13 +271,14 @@ class Group:
     def scalar(self, value: int) -> Scalar:
         return Scalar(value, self.descriptor.q)
 
-    def random_scalar(self, rng) -> Scalar:
+    def random_scalar(self, rng=None) -> Scalar:
         """Uniform scalar in [1, q-1]; never zero.
 
-        `rng` is anything with randrange(), e.g. secrets.SystemRandom()
-        or a seeded random.Random for reproducible tests.
+        `rng` is anything with randrange(), e.g. a seeded random.Random
+        for reproducible tests; without it the draw comes from the OS
+        CSPRNG (secrets.SystemRandom).
         """
-        return Scalar(rng.randrange(1, self.descriptor.q), self.descriptor.q)
+        return self.scalar((rng or _system_rng).randrange(1, self.descriptor.q))
 
     def encode_scalar(self, s: Scalar) -> bytes:
         return s.value.to_bytes(self.descriptor.scalar_len, "big")

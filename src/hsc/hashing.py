@@ -113,4 +113,4 @@ class HashOracles:
                 f"mask of {out_len} bytes exceeds cap {self.max_message_bytes}"
             )
         self.group.count_hash_call()
-        return self._xof(self.h3_preimage(R2)).digest(out_len) if out_len else b""
+        return self._xof(self.h3_preimage(R2)).digest(out_len)

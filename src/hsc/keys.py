@@ -19,7 +19,6 @@ scheme divides by (x_c + d) and keys are long-lived.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Union
@@ -28,8 +27,6 @@ from .group import Group, GroupElement, Scalar, make_group
 from .hashing import HashConfig, HashOracles
 
 DEFAULT_MESSAGE_BITS = 8192
-
-_system_rng = secrets.SystemRandom()
 
 
 class PartialKeyError(ValueError):
@@ -138,7 +135,6 @@ def setup(
         raise ValueError(f"message cap n must be in 1..{2**32 - 1}, got {n}")
     if not 0 <= l < 2**16:
         raise ValueError(f"security parameter l must be in 0..{2**16 - 1}, got {l}")
-    rng = rng or _system_rng
     s = group.random_scalar(rng)
     P = group.generator()
     Ppub = s * P
@@ -155,7 +151,6 @@ def setup(
 
 def pki_keygen(params: SystemParams, rng=None) -> PkiKeyPair:
     """Self-generated PKI key: x_p random, PK_p = (1/x_p)*P."""
-    rng = rng or _system_rng
     x_p = params.group.random_scalar(rng)
     PK_p = x_p.invert() * params.P
     return PkiKeyPair(x_p=x_p, PK_p=PK_p)
@@ -172,7 +167,6 @@ def clc_extract_partial(
     Resamples the ephemeral t in the (probability 1/q) event that
     d = t + s*γ reduces to zero, so d is always invertible.
     """
-    rng = rng or _system_rng
     while True:
         t = params.group.random_scalar(rng)
         T = t * params.P
@@ -222,7 +216,6 @@ def clc_finalize_random(params: SystemParams, identity: bytes,
                         partial: ClcPartialKey, rng=None) -> ClcKeyPair:
     """:func:`clc_finalize` with a random secret value x_c, resampled
     on the degenerate case."""
-    rng = rng or _system_rng
     while True:
         try:
             return clc_finalize(params, identity, partial, params.group.random_scalar(rng))
@@ -237,6 +230,5 @@ def clc_keygen(
     rng=None,
 ) -> ClcKeyPair:
     """Full certificateless keygen in one call (extract + finalize)."""
-    rng = rng or _system_rng
     partial = clc_extract_partial(params, master, identity, rng)
     return clc_finalize_random(params, identity, partial, rng)

@@ -292,6 +292,5 @@ def run_client(params: SystemParams, key, message: bytes, *,
     """Connect, run one session sending `message`, return the transcript."""
     spec = _direction(mode, Role.CLIENT, key)
     with socket.create_connection((host, port), timeout=timeout) as conn:
-        conn.settimeout(timeout)
         return _run_session(conn, Role.CLIENT, _client_session,
                             params, key, spec, message, rng)

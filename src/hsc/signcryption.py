@@ -33,14 +33,11 @@ or 3S+2H (CPHS), unsigncrypt costs 4S+2H in both directions.
 from __future__ import annotations
 
 import enum
-import secrets
 from dataclasses import dataclass
 from typing import Callable
 
 from .group import GroupElement, Scalar
 from .keys import ClcKeyPair, ClcPublicKey, PkiKeyPair, SystemParams
-
-_system_rng = secrets.SystemRandom()
 
 
 class Direction(enum.IntEnum):
@@ -89,7 +86,7 @@ def _seal(params: SystemParams, m: bytes, rng) -> tuple[Scalar, Scalar, bytes]:
         raise MessageSizeError(
             f"message is {len(m)} bytes, cap is {params.max_message_bytes}"
         )
-    k = params.group.random_scalar(rng or _system_rng)
+    k = params.group.random_scalar(rng)
     h = params.oracles.h2(m, k * params.P)
     c = _xor(m, params.oracles.h3(h * params.P, len(m)))
     return k, h, c

@@ -292,6 +292,49 @@ class TestToyGroupLifecycle:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestDegenerateClcKeyFile:
+    """A toy-101 CLC key file ends in x_c, d, T and PK_c1, one byte each.
+    Key generation never makes x_c zero or x_c + d == 0, so the commands
+    refuse such a file as a decode failure before any arithmetic."""
+
+    @pytest.fixture(scope="class")
+    def toy_ws(self, tmp_path_factory):
+        ws = tmp_path_factory.mktemp("degenerate")
+        env = dict(os.environ, HSC_SEED="3")
+        (ws / "m.txt").write_bytes(b"tiny")
+        for args in (
+                ["setup", "--group", "toy-101", "--params", "p.hsc", "--out", "master.hsc"],
+                ["pki-keygen", "--params", "p.hsc", "--out", "a.hsc"],
+                ["clc-extract", "--params", "p.hsc", "--key", "master.hsc",
+                 "--id", "bob", "--out", "part.hsc"],
+                ["clc-finalize", "--params", "p.hsc", "--key", "part.hsc", "--out", "b.hsc"],
+                ["export-pub", "--params", "p.hsc", "--key", "a.hsc", "--out", "a.pub"],
+                ["export-pub", "--params", "p.hsc", "--key", "b.hsc", "--out", "b.pub"],
+                ["signcrypt", "--mode", "pchs", "--params", "p.hsc", "--key", "a.hsc",
+                 "--peer", "b.pub", "--in", "m.txt", "--out", "pchs.ct"]):
+            run(args, ws, env=env)
+        key = bytearray((ws / "b.hsc").read_bytes())
+        key[-4] = 0
+        (ws / "zero_xc.hsc").write_bytes(bytes(key))
+        key[-4] = 101 - key[-3]
+        (ws / "minus_d.hsc").write_bytes(bytes(key))
+        return ws
+
+    @pytest.mark.parametrize("key,args,out", [
+        ("minus_d.hsc", ["signcrypt", "--mode", "cphs", "--peer", "a.pub",
+                         "--in", "m.txt"], "cphs.ct"),
+        ("zero_xc.hsc", ["unsigncrypt", "--mode", "pchs", "--peer", "a.pub",
+                         "--in", "pchs.ct"], "pchs.out"),
+        ("zero_xc.hsc", ["export-pub"], "zero.pub"),
+    ])
+    def test_exits_4_with_one_decode_line(self, toy_ws, key, args, out):
+        result = run([*args, "--params", "p.hsc", "--key", key, "--out", out],
+                     toy_ws, expect=4)
+        assert result.stderr.startswith("ERROR decode: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert not (toy_ws / out).exists()
+
+
 class TestBenchCommand:
     def test_bench_emits_table_and_csv(self, tmp_path):
         run(["setup", "--group", "toy-101", "--params", "p.hsc",

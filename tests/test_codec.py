@@ -1,8 +1,10 @@
 """Byte formats: sizes, roundtrips, strict rejection, frames, and fuzz
 (decoders must fail with structured errors, never crash)."""
 
+import dataclasses
 import io
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +182,47 @@ class TestKeyFiles:
             codec.encode_pki_keypair(prod.params, prod.alice)) == codec.FileKind.PKI_KEY
         with pytest.raises(HeaderError):
             codec.file_kind(b"NOPE" + b"\x00" * 8)
+
+
+class TestZeroSecretScalars:
+    """Key generation never makes a stored secret zero, nor a CLC key
+    with x_c + d == 0; decoding refuses both."""
+
+    @pytest.fixture(scope="class")
+    def toy101(self):
+        rng = random.Random(11)
+        params, master = keys.setup("toy-101", n=32, rng=rng)
+        return SimpleNamespace(
+            params=params, scalar=params.group.scalar,
+            pki=keys.pki_keygen(params, rng),
+            partial=keys.clc_extract_partial(params, master, b"bob", rng),
+            clc=keys.clc_keygen(params, master, b"bob", rng))
+
+    def test_zero_x_p(self, toy101):
+        key = dataclasses.replace(toy101.pki, x_p=toy101.scalar(0))
+        data = codec.encode_pki_keypair(toy101.params, key)
+        with pytest.raises(CodecError):
+            codec.decode_pki_keypair(data, toy101.params)
+
+    @pytest.mark.parametrize("field", ["x_c", "d"])
+    def test_zero_clc_scalar(self, toy101, field):
+        key = dataclasses.replace(toy101.clc, **{field: toy101.scalar(0)})
+        data = codec.encode_clc_keypair(toy101.params, key)
+        with pytest.raises(CodecError):
+            codec.decode_clc_keypair(data, toy101.params)
+
+    def test_x_c_equal_to_minus_d(self, toy101):
+        key = dataclasses.replace(toy101.clc, x_c=-toy101.clc.d)
+        assert int(key.x_c) == 101 - int(key.d)
+        data = codec.encode_clc_keypair(toy101.params, key)
+        with pytest.raises(CodecError):
+            codec.decode_clc_keypair(data, toy101.params)
+
+    def test_zero_partial_d(self, toy101):
+        partial = dataclasses.replace(toy101.partial, d=toy101.scalar(0))
+        data = codec.encode_partial_key(toy101.params, b"bob", partial)
+        with pytest.raises(CodecError):
+            codec.decode_partial_key(data, toy101.params)
 
 
 class TestPublicExports:

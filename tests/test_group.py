@@ -151,6 +151,11 @@ class TestScalarRandom:
         q = secp.descriptor.q
         assert all(0 < int(secp.random_scalar(rng)) < q for _ in range(10_000))
 
+    def test_no_rng_draws_from_the_os_csprng(self):
+        toy = ToyGroup(13)
+        draws = [int(toy.random_scalar()) for _ in range(2_000)]
+        assert set(draws) == set(range(1, 13))
+
 
 class TestPointOps:
     def test_worked_toy_mul(self):

@@ -106,6 +106,17 @@ class TestRoundtrips:
             assert cphs_unsigncrypt(prod.params, prod.alice, prod.identity,
                                     prod.bob.public, sigma) == m
 
+    def test_toy_q101_without_any_rng(self):
+        # every draw falls back to Group.random_scalar's OS CSPRNG
+        params, master = keys.setup("toy-101", n=32)
+        pki = keys.pki_keygen(params)
+        clc = keys.clc_keygen(params, master, b"peer")
+        m = b"tiny"
+        sigma = pchs_signcrypt(params, pki, b"peer", clc.public, m)
+        assert pchs_unsigncrypt(params, clc, pki.PK_p, sigma) == m
+        sigma = cphs_signcrypt(params, clc, pki.PK_p, m)
+        assert cphs_unsigncrypt(params, pki, b"peer", clc.public, sigma) == m
+
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 100), m=st.binary(min_size=1, max_size=4))
     def test_toy_q101_real_hashes(self, k, m):
