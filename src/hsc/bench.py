@@ -2,14 +2,16 @@
 
 Times the primitive operations (scalar multiplication of pool points, of
 the fixed base P and of one point over and over, group addition,
-hash-to-scalar, element decoding) and the four full algorithms plus
-aggregate key generation, each over fresh random inputs pre-generated
-outside the timed region; a caller may time a subset of the primitives alone.  On secp256k1
-a pool point takes the first-use GLV + wNAF path, P the shipped
-fixed-window table of the generator, and the repeated point (Ppub) the
-fixed-window table it is promoted to on its second use.  Operation counts
-come from scoped counters around one invocation of each algorithm --
-measured, never hardcoded.
+hash-to-scalar, element decoding of pool points and of one point over
+and over) and the four full algorithms plus aggregate key generation,
+each over fresh random inputs pre-generated outside the timed region; a
+caller may time a subset of the primitives alone.  On secp256k1 a pool
+point takes the first-use GLV + wNAF path, P the shipped fixed-window
+table of the generator, and the repeated point (Ppub) the fixed-window
+table it is promoted to on its second use; decoding a pool point takes a
+square root, and decoding Ppub's encoding again hits the cache of recent
+decodes.  Operation counts come from scoped counters around one
+invocation of each algorithm -- measured, never hardcoded.
 
 Absolute times are hardware-dependent and not comparable across machines;
 consumers should assert orderings and ratios only.  The machine-readable
@@ -111,17 +113,17 @@ class BenchReport:
 
     def table(self) -> str:
         lines = [f"group: {self.group_name}", ""]
-        lines.append(f"{'operation':<20} {'iters':>7} {'mean ms':>12} {'median ms':>12}")
+        lines.append(f"{'operation':<22} {'iters':>7} {'mean ms':>12} {'median ms':>12}")
         for t in self.timings:
             lines.append(
-                f"{t.name:<20} {t.iterations:>7} "
+                f"{t.name:<22} {t.iterations:>7} "
                 f"{t.mean_s * 1e3:>12.4f} {t.median_s * 1e3:>12.4f}"
             )
         lines.append("")
-        lines.append(f"{'algorithm':<20} {'S':>4} {'A':>4} {'H':>4}")
+        lines.append(f"{'algorithm':<22} {'S':>4} {'A':>4} {'H':>4}")
         for name, c in self.op_counts.items():
             lines.append(
-                f"{name:<20} {c.scalar_mults:>4} {c.group_adds:>4} {c.hash_calls:>4}"
+                f"{name:<22} {c.scalar_mults:>4} {c.group_adds:>4} {c.hash_calls:>4}"
             )
         return "\n".join(lines)
 
@@ -195,8 +197,8 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
 
     `rows`, when given, names the primitive rows to time (`scalar_mult`,
     `scalar_mult_fixed`, `scalar_mult_repeat`, `group_add`,
-    `hash_to_scalar`, `decode_element`); the other rows, the algorithm
-    rows and the op counts are then skipped.
+    `hash_to_scalar`, `decode_element`, `decode_element_repeat`); the
+    other rows, the algorithm rows and the op counts are then skipped.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -233,9 +235,14 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
          [(pick(i), pick(i + 1)) for i in range(iterations)]),
         ("hash_to_scalar", params.oracles.h2,
          [(msgs[i], pick(i)) for i in range(iterations)]),
-        # on secp256k1, point decompression: one modular square root
+        # on secp256k1, point decompression: one modular square root; the
+        # pool holds more points than the cache of recent decodes, so
+        # every call takes the root
         ("decode_element", group.decode_element,
          [(pick(i).encode(),) for i in range(iterations)]),
+        # one encoding over and over: on secp256k1 a cached decode
+        ("decode_element_repeat", group.decode_element,
+         [(params.Ppub.encode(),)] * iterations),
     ]
     if rows is not None:
         unknown = set(rows) - {name for name, _, _ in primitives}

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .group import GroupElement
+from .group import GroupElement, make_group
 from .hashing import HashConfig
 from .keys import (
     ClcKeyPair,
@@ -33,7 +33,6 @@ from .keys import (
     PkiKeyPair,
     SystemParams,
 )
-from .group import make_group
 from .signcryption import Ciphertext, Direction
 
 MAGIC = b"HSC1"

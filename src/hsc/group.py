@@ -40,9 +40,12 @@ from __future__ import annotations
 import collections
 import contextlib
 import contextvars
+import functools
 import hashlib
+import itertools
 import os
 import secrets
+import struct
 import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -514,7 +517,8 @@ if (_BETA == 1 or pow(_BETA, 3, _P) != 1 or _LAMBDA == 1 or pow(_LAMBDA, 3, _N) 
 
 _WNAF_WIDTH = 5
 _TABLE_SIZE = 1 << (_WNAF_WIDTH - 2)  # odd multiples 1, 3, ..., 15
-# Ppub and the keys of a few peers, about 7.5 ms and 130 KB each once promoted
+# Ppub and the keys of a few peers, about 7.5 ms and 130 KB each once
+# promoted; also the number of recent decodes _decompress keeps
 _TABLE_CACHE_SIZE = 16
 # A promoted point's tables have width 5, digits in [-15, 16].  A GLV half
 # h with |h| < 2^129 leaves a value in [-16, 16] after 25 digits (125
@@ -749,8 +753,11 @@ def _load_g_table():
         raise RuntimeError(f"cannot read the secp256k1 generator table: {exc}") from exc
     if hashlib.sha256(data).hexdigest() != _G_TABLE_SHA256:
         raise RuntimeError(f"{_G_TABLE_PATH} does not match its SHA-256 digest")
-    coords = [int.from_bytes(data[o:o + 32], "big") for o in range(0, len(data), 32)]
-    table = tuple(zip(coords[::2], coords[1::2]))
+    # one iterator zipped with itself pairs each x with the y after it;
+    # "big" is passed because Python 3.10's from_bytes has no default
+    coords = map(int.from_bytes, (c for c, in struct.iter_unpack("32s", data)),
+                 itertools.repeat("big"))
+    table = tuple(zip(coords, coords))
     # one assignment of a finished table: threads that race here each
     # parse their own copy, and no thread sees a partial one
     _g_table = table
@@ -763,12 +770,39 @@ def _mul_generator(k: int):
     return _jac_to_affine(*_fixed_window_madd((0, 1, 0), table, k, _G_WIDTH))
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _decompress(data: bytes):
+    """The affine point (or None) that the 33-byte encoding names.  The
+    16 most recent accepted encodings are cached, so a peer key decoded
+    again costs no square root; an encoding that raises is never cached
+    and pays every check on every call."""
+    if data[0] == 0x00:
+        if data != _INFINITY_ENCODING:
+            raise OffGroupError("non-canonical identity encoding")
+        return None
+    if data[0] not in (0x02, 0x03):
+        raise OffGroupError(f"bad point prefix 0x{data[0]:02x}")
+    x = int.from_bytes(data[1:], "big")
+    if x >= _P:
+        raise OffGroupError("x coordinate >= field prime")
+    y_sq = (pow(x, 3, _P) + _B) % _P
+    y = pow(y_sq, (_P + 1) // 4, _P)
+    if y * y % _P != y_sq:
+        raise OffGroupError("x coordinate is not on the curve")
+    if (y & 1) != (data[0] & 1):
+        y = _P - y
+    return (x, y)
+
+
 class Secp256k1Group(Group):
     """secp256k1 as a plain prime-order group (no ECDSA baggage).
 
     Canonical element encoding is 33 bytes: SEC1 compressed for proper
     points, 33 zero bytes for the identity.  Decoding rejects anything
-    non-canonical instead of normalising it.
+    non-canonical instead of normalising it.  The 16 most recently
+    accepted encodings keep their decoded points, shared by all instances
+    and threads, so a peer key decoded again skips the square root;
+    rejected encodings are never cached and are checked in full each time.
 
     k*P for the generator P recodes k into 37 signed base-128 digits and
     adds one precomputed affine point per nonzero digit with mixed
@@ -831,22 +865,7 @@ class Secp256k1Group(Group):
         return prefix + x.to_bytes(32, "big")
 
     def _decode_value(self, data: bytes):
-        if data[0] == 0x00:
-            if data != _INFINITY_ENCODING:
-                raise OffGroupError("non-canonical identity encoding")
-            return None
-        if data[0] not in (0x02, 0x03):
-            raise OffGroupError(f"bad point prefix 0x{data[0]:02x}")
-        x = int.from_bytes(data[1:], "big")
-        if x >= _P:
-            raise OffGroupError("x coordinate >= field prime")
-        y_sq = (pow(x, 3, _P) + _B) % _P
-        y = pow(y_sq, (_P + 1) // 4, _P)
-        if y * y % _P != y_sq:
-            raise OffGroupError("x coordinate is not on the curve")
-        if (y & 1) != (data[0] & 1):
-            y = _P - y
-        return (x, y)
+        return _decompress(bytes(data))
 
 
 def make_group(name: str) -> Group:

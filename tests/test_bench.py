@@ -13,7 +13,7 @@ from hsc.bench import CSV_COLUMNS, bench_run, git_commit
 
 EXPECTED_OPS = [
     "scalar_mult", "scalar_mult_fixed", "scalar_mult_repeat", "group_add",
-    "hash_to_scalar", "decode_element",
+    "hash_to_scalar", "decode_element", "decode_element_repeat",
     "keygen", "pchs_signcrypt", "pchs_unsigncrypt",
     "cphs_signcrypt", "cphs_unsigncrypt",
 ]

@@ -302,6 +302,76 @@ class TestDecodeRejections:
                 toy.decode_scalar(bytes([v]))
 
 
+class TestDecodeCache:
+    """secp256k1 keeps the points of the 16 most recent accepted
+    encodings; a rejected encoding is checked in full every time."""
+
+    def _encodings(self, secp, count):
+        return [secp.encode_element(k * secp.generator()) for k in range(1, count + 1)]
+
+    def test_hit_equals_cold_decode_and_ladder(self, secp):
+        X = _random_points(1, seed=61)[0]
+        data = secp.encode_element(GroupElement(secp, X))
+        group_module._decompress.cache_clear()
+        cold = secp.decode_element(data)
+        hit = secp.decode_element(data)
+        info = group_module._decompress.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert cold == hit and hit.value == X
+
+    @pytest.mark.parametrize("data", [
+        b"\x04" + b"\x11" * 32,
+        b"\x02" + _P.to_bytes(32, "big"),
+        b"\x03" + _off_curve_x().to_bytes(32, "big"),
+        b"\x00" * 32 + b"\x01",
+    ])
+    def test_rejections_are_never_cached(self, secp, data):
+        group_module._decompress.cache_clear()
+        secp.decode_element(secp.encode_element(secp.generator()))
+        before = group_module._decompress.cache_info()
+        raised = []
+        for _ in range(2):
+            with pytest.raises(OffGroupError) as exc:
+                secp.decode_element(data)
+            raised.append(exc.type)
+        after = group_module._decompress.cache_info()
+        assert raised == [OffGroupError, OffGroupError]
+        assert after.currsize == before.currsize == 1
+        assert (after.misses - before.misses, after.hits - before.hits) == (2, 0)
+
+    def test_cache_never_holds_more_than_16_entries(self, secp):
+        group_module._decompress.cache_clear()
+        assert group_module._decompress.cache_info().maxsize == 16
+        for data in self._encodings(secp, 40):
+            secp.decode_element(data)
+            assert group_module._decompress.cache_info().currsize <= 16
+        assert group_module._decompress.cache_info().currsize == 16
+
+    def test_bytes_bytearray_and_memoryview_alike(self, secp):
+        (data,) = self._encodings(secp, 1)
+        expected = secp.generator()
+        for convert in (bytes, bytearray, memoryview):
+            group_module._decompress.cache_clear()
+            assert secp.decode_element(convert(data)) == expected  # cold
+            assert secp.decode_element(convert(data)) == expected  # hit
+
+    def test_threads_decode_same_and_different_encodings(self, secp):
+        points = _random_points(5, seed=62)
+        encoded = [secp.encode_element(GroupElement(secp, X)) for X in points]
+        # both threads decode encoded[0]; each also has two of its own
+        work = [[0, 1, 2] * 4, [0, 3, 4] * 4]
+        results = [None, None]
+        start = threading.Barrier(2)
+
+        def run(slot):
+            start.wait(timeout=10)
+            results[slot] = [secp.decode_element(encoded[i]).value for i in work[slot]]
+
+        group_module._decompress.cache_clear()
+        _run_concurrently(run, [(0,), (1,)])
+        assert results == [[points[i] for i in jobs] for jobs in work]
+
+
 class TestCounters:
     def test_counts_only_inside_scope(self):
         toy = ToyGroup(13)
