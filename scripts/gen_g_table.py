@@ -2,11 +2,13 @@
 
     python3 scripts/gen_g_table.py [OUT]
 
-OUT defaults to src/hsc/secp256k1_g_w7.bin, the file `hsc.group` loads on
+OUT defaults to src/hsc/secp256k1_g_w8.bin, the file `hsc.group` loads on
 the first k*G.  The width and the row count are `hsc.group`'s `_G_WIDTH`
-(7) and `_G_ROWS` (37): row i holds the affine points j*128^i*G for
-j = 1..64, each as 32-byte big-endian x followed by 32-byte big-endian y,
-so 2,368 points and 151,552 bytes.  The rows come from `hsc.group`'s own
+(8) and `_G_ROWS` (17), enough for a GLV half of k below 2^129: row i
+holds the affine points j*256^i*G for j = 1..128, each as 32-byte
+big-endian x followed by 32-byte big-endian y, so 2,176 points and
+139,264 bytes.  Both halves of k read these rows; the lambda half maps
+its partial sum by beta.  The rows come from `hsc.group`'s own
 fixed-window row builder, the one that also builds the tables of
 repeatedly multiplied points.  After changing the table, put the SHA-256
 this script prints into `_G_TABLE_SHA256`.

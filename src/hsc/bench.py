@@ -13,6 +13,11 @@ square root, and decoding Ppub's encoding again hits the cache of recent
 decodes.  Operation counts come from scoped counters around one
 invocation of each algorithm -- measured, never hardcoded.
 
+With `repeat` R > 1 every row is timed in R passes, interleaved (each
+pass times every row once, so a slow stretch of the host falls on all
+rows alike), and each row reports the median of its R pass means and
+their interquartile range next to the mean and median over all samples.
+
 Absolute times are hardware-dependent and not comparable across machines;
 consumers should assert orderings and ratios only.  The machine-readable
 rows have a fixed column set so CI can diff runs; the JSON form carries
@@ -22,6 +27,7 @@ the same rows plus the Python version, core count and git commit.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -49,6 +55,7 @@ CSV_COLUMNS = [
     "record", "group", "name", "iterations",
     "mean_s", "median_s",
     "scalar_mults", "group_adds", "hash_calls",
+    "passes", "pass_median_s", "pass_iqr_s",
 ]
 
 _BENCH_IDENTITY = b"bench-clc-user"
@@ -56,10 +63,16 @@ _BENCH_IDENTITY = b"bench-clc-user"
 
 @dataclass
 class OpTiming:
+    """One row's samples over all passes (mean_s, median_s) and the
+    median and interquartile range of its per-pass means."""
+
     name: str
-    iterations: int
+    iterations: int  # per pass
     mean_s: float
     median_s: float
+    passes: int = 1
+    pass_median_s: float = 0.0
+    pass_iqr_s: float = 0.0
 
 
 @dataclass
@@ -84,6 +97,8 @@ class BenchReport:
                 "iterations": t.iterations,
                 "mean_s": f"{t.mean_s:.9f}", "median_s": f"{t.median_s:.9f}",
                 "scalar_mults": "", "group_adds": "", "hash_calls": "",
+                "passes": t.passes, "pass_median_s": f"{t.pass_median_s:.9f}",
+                "pass_iqr_s": f"{t.pass_iqr_s:.9f}",
             })
         for name, counter in self.op_counts.items():
             out.append({
@@ -92,6 +107,7 @@ class BenchReport:
                 "scalar_mults": counter.scalar_mults,
                 "group_adds": counter.group_adds,
                 "hash_calls": counter.hash_calls,
+                "passes": "", "pass_median_s": "", "pass_iqr_s": "",
             })
         return out
 
@@ -113,11 +129,13 @@ class BenchReport:
 
     def table(self) -> str:
         lines = [f"group: {self.group_name}", ""]
-        lines.append(f"{'operation':<22} {'iters':>7} {'mean ms':>12} {'median ms':>12}")
+        lines.append(f"{'operation':<22} {'iters':>7} {'mean ms':>12} {'median ms':>12}"
+                     f" {'passes':>6} {'pass med ms':>12} {'pass IQR ms':>12}")
         for t in self.timings:
             lines.append(
                 f"{t.name:<22} {t.iterations:>7} "
-                f"{t.mean_s * 1e3:>12.4f} {t.median_s * 1e3:>12.4f}"
+                f"{t.mean_s * 1e3:>12.4f} {t.median_s * 1e3:>12.4f} {t.passes:>6} "
+                f"{t.pass_median_s * 1e3:>12.4f} {t.pass_iqr_s * 1e3:>12.4f}"
             )
         lines.append("")
         lines.append(f"{'algorithm':<22} {'S':>4} {'A':>4} {'H':>4}")
@@ -180,20 +198,34 @@ def _time_loop(fn, inputs) -> list[float]:
     return samples
 
 
-def _summary(name: str, samples: list[float]) -> OpTiming:
-    return OpTiming(
-        name=name,
-        iterations=len(samples),
-        mean_s=statistics.fmean(samples),
-        median_s=statistics.median(samples),
-    )
+def _time_rows(rows, repeat: int) -> list[OpTiming]:
+    """Time each (name, fn, inputs) row in `repeat` interleaved passes."""
+    passes = {name: [] for name, _, _ in rows}
+    for _ in range(repeat):
+        for name, fn, inputs in rows:
+            passes[name].append(_time_loop(fn, inputs))
+    out = []
+    for name, samples in passes.items():
+        means = [statistics.fmean(s) for s in samples]
+        if repeat > 1:
+            q1, _, q3 = statistics.quantiles(means, n=4, method="inclusive")
+        else:
+            q1 = q3 = means[0]
+        every = [t for s in samples for t in s]
+        out.append(OpTiming(
+            name=name, iterations=len(samples[0]),
+            mean_s=statistics.fmean(every), median_s=statistics.median(every),
+            passes=repeat, pass_median_s=statistics.median(means), pass_iqr_s=q3 - q1,
+        ))
+    return out
 
 
 def bench_run(params: SystemParams, iterations: int = 10000, *,
               algo_iterations: int | None = None, rng=None,
-              rows=None) -> BenchReport:
+              rows=None, repeat: int = 1) -> BenchReport:
     """Measure primitives over `iterations` runs and full algorithms over
-    `algo_iterations` runs (default iterations/100, at least 1).
+    `algo_iterations` runs (default iterations/100, at least 1), each
+    row in `repeat` interleaved passes.
 
     `rows`, when given, names the primitive rows to time (`scalar_mult`,
     `scalar_mult_fixed`, `scalar_mult_repeat`, `group_add`,
@@ -206,6 +238,8 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
         algo_iterations = max(1, iterations // 100)
     if algo_iterations < 1:
         raise ValueError("algo_iterations must be >= 1")
+    if repeat < 1:
+        raise ValueError("repeat must be >= 1")
     rng = rng or _system_rng
     group = params.group
     report = BenchReport(group_name=group.descriptor.name)
@@ -248,10 +282,7 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
         unknown = set(rows) - {name for name, _, _ in primitives}
         if unknown:
             raise ValueError(f"unknown bench rows: {', '.join(sorted(unknown))}")
-    for name, fn, inputs in primitives:
-        if rows is None or name in rows:
-            report.timings.append(_summary(name, _time_loop(fn, inputs)))
-    if rows is not None:
+        report.timings = _time_rows([row for row in primitives if row[0] in rows], repeat)
         return report
 
     # key material for the algorithm benchmarks; the bench provisions its
@@ -269,28 +300,24 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     algo_msgs = [rng.getrandbits(8 * msg_len).to_bytes(msg_len, "big")
                  for _ in range(algo_iterations)]
 
-    report.timings.append(_summary("keygen", _time_loop(
-        keygen_once, [() for _ in range(algo_iterations)])))
+    timed = primitives + [("keygen", keygen_once, [() for _ in range(algo_iterations)])]
+    directions = {}
+    for mode, spec in DIRECTIONS.items():
+        sender, sender_export = sides[spec.sender]
+        receiver, receiver_export = sides[spec.receiver]
+        sign = functools.partial(spec.signcrypt, bparams, sender, receiver_export, rng=rng)
+        unsign = functools.partial(spec.unsigncrypt, bparams, receiver, sender_export)
+        directions[mode] = sign, unsign
+        sigmas = [(sign(m),) for m in algo_msgs]
+        timed += [(f"{mode}_signcrypt", sign, [(m,) for m in algo_msgs]),
+                  (f"{mode}_unsigncrypt", unsign, sigmas)]
+    report.timings = _time_rows(timed, repeat)
+
     # measured per-algorithm operation counts, one scoped invocation each
     with group.counting() as c:
         keygen_once()
     report.op_counts["key_generation"] = c
-
-    for mode, spec in DIRECTIONS.items():
-        sender, sender_export = sides[spec.sender]
-        receiver, receiver_export = sides[spec.receiver]
-
-        def sign(m):
-            return spec.signcrypt(bparams, sender, receiver_export, m, rng)
-
-        def unsign(sigma):
-            return spec.unsigncrypt(bparams, receiver, sender_export, sigma)
-
-        sigmas = [(sign(m),) for m in algo_msgs]
-        report.timings.append(_summary(f"{mode}_signcrypt", _time_loop(
-            sign, [(m,) for m in algo_msgs])))
-        report.timings.append(_summary(f"{mode}_unsigncrypt", _time_loop(unsign, sigmas)))
-
+    for mode, (sign, unsign) in directions.items():
         with group.counting() as c:
             sigma = sign(algo_msgs[0])
         report.op_counts[f"{mode}_signcrypt"] = c

@@ -53,11 +53,19 @@ def _read(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
+def _refuse_existing(force: bool, *paths) -> None:
+    """Raise for the first of the output paths (None for an unused one)
+    that exists, unless force is set; a command with several outputs
+    checks them all before it writes any."""
+    if not force:
+        for path in paths:
+            if path is not None and Path(path).exists():
+                raise FileExistsError(f"{path} exists; pass --force to overwrite")
+
+
 def _write(path: str, data: bytes, force: bool) -> None:
-    target = Path(path)
-    if target.exists() and not force:
-        raise FileExistsError(f"{path} exists; pass --force to overwrite")
-    target.write_bytes(data)
+    _refuse_existing(force, path)
+    Path(path).write_bytes(data)
 
 
 def _load_params(path: str) -> keys.SystemParams:
@@ -82,6 +90,7 @@ def _load_peer(args, params: keys.SystemParams, key_class: type):
 
 def _cmd_setup(args) -> int:
     params, master = keys.setup(args.group, n=args.msg_bits, rng=_rng())
+    _refuse_existing(args.force, args.params, args.out)
     _write(args.params, codec.encode_params(params), args.force)
     _write(args.out, codec.encode_master(params, master), args.force)
     print(f"params -> {args.params}")
@@ -203,7 +212,8 @@ def _cmd_bench(args) -> int:
         params = _load_params(args.params)
     else:
         params, _ = keys.setup("secp256k1", rng=_rng())
-    report = bench.bench_run(params, iterations=args.iters, rng=_rng())
+    _refuse_existing(args.force, args.out, args.json)
+    report = bench.bench_run(params, iterations=args.iters, rng=_rng(), repeat=args.repeat)
     print(report.table())
     if args.out is not None:
         _write(args.out, report.to_csv().encode(), args.force)
@@ -311,6 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="params file (default: fresh secp256k1)")
     p.add_argument("--iters", type=int, default=10000,
                    help="iterations for primitive ops (default 10000)")
+    p.add_argument("--repeat", type=int, default=1,
+                   help="interleaved passes over the rows; each row reports the median "
+                        "and interquartile range of its pass means (default 1)")
     p.add_argument("--out", help="write machine-readable CSV here")
     p.add_argument("--json", help="write the CSV rows and run metadata as JSON here")
     p.add_argument("--force", action="store_true")

@@ -4,21 +4,26 @@ Two interchangeable instantiations sit behind one interface:
 
 - :class:`Secp256k1Group` -- the production group.  secp256k1 has a prime
   order (cofactor 1), so the whole curve is the group.  Arithmetic is pure
-  Python in Jacobian coordinates, and a scalar multiplication takes one of
-  three paths:
+  Python in Jacobian coordinates.  Every multiplication splits k with the
+  GLV endomorphism lambda into two ~128-bit halves, k1 + k2*lambda, and
+  takes one of three paths:
 
-  * the generator P reads a width-7 signed fixed-window table that ships
-    beside this module: about 37 mixed additions and no doublings;
-  * any other point, on its first multiplication, splits k with the GLV
-    endomorphism into two ~128-bit halves, recodes each as width-5 wNAF
-    and runs one shared doubling chain over a table of odd multiples of
-    the point, built on an isomorphic curve with one inversion;
+  * the generator P reads a width-8 signed fixed-window table of 17 rows
+    that ships beside this module: about 32 mixed additions and no
+    doublings;
+  * any other point, on its first multiplication, recodes both halves as
+    width-5 wNAF and runs one shared doubling chain over a table of odd
+    multiples of the point, built on an isomorphic curve with one
+    inversion;
   * a point multiplied a second time while it is still among the 16 most
-    recently multiplied gets a width-5 signed fixed-window table of its
-    own, 27 rows per GLV half, each row built on secp256k1 itself with
-    one inversion (about 7.5 ms and 130 KB per point), and from then on
-    costs the GLV split plus about 50 mixed additions, again with no
-    doublings.
+    recently multiplied gets a width-7 signed fixed-window table of 19
+    rows of its own, built a column at a time with one inversion per
+    column (about 8 ms and 200 KB per point), and from then on costs
+    about 37 mixed additions, again with no doublings.
+
+  A fixed-window table holds multiples of the point alone: k2's digits
+  are summed first, lambda maps the sum by one multiplication of its X
+  coordinate by beta, and k1's digits are added on top.
 
   This is research-grade code; it is NOT constant-time and must not be
   used where side channels matter.
@@ -517,15 +522,14 @@ if (_BETA == 1 or pow(_BETA, 3, _P) != 1 or _LAMBDA == 1 or pow(_LAMBDA, 3, _N) 
 
 _WNAF_WIDTH = 5
 _TABLE_SIZE = 1 << (_WNAF_WIDTH - 2)  # odd multiples 1, 3, ..., 15
-# Ppub and the keys of a few peers, about 7.5 ms and 130 KB each once
+# Ppub and the keys of a few peers, about 8 ms and 200 KB each once
 # promoted; also the number of recent decodes _decompress keeps
 _TABLE_CACHE_SIZE = 16
-# A promoted point's tables have width 5, digits in [-15, 16].  A GLV half
-# h with |h| < 2^129 leaves a value in [-16, 16] after 25 digits (125
-# bits).  That is one more digit, except -16, which recodes as 16 and a
-# carry of -1: a negative half near -2^129 needs a 27th row.
-_GLV_WIDTH = 5
-_GLV_ROWS = 27
+# A promoted point's table has width 7, digits in [-63, 64].  A GLV half
+# h with |h| < 2^129 leaves a value in [-8, 8] after 18 digits (126 bits),
+# one more digit with no carry: 19 rows.
+_GLV_WIDTH = 7
+_GLV_ROWS = 19
 
 
 def _glv_split(k: int) -> tuple[int, int]:
@@ -554,33 +558,36 @@ def _wnaf(k: int) -> list[int]:
     return digits
 
 
-def _batch_affine(chain):
-    """The affine points of the Jacobian points in chain, from one field
-    inversion (Montgomery's trick); no Z may be 0."""
+def _batch_inverse(values):
+    """The inverses mod p of the values, none 0 mod p, from one field
+    inversion (Montgomery's trick)."""
     p = _P
     prefix = [1]
-    for _, _, Z in chain:
-        prefix.append(prefix[-1] * Z % p)
+    for v in values:
+        prefix.append(prefix[-1] * v % p)
     inv = pow(prefix[-1], -1, p)
-    out = [None] * len(chain)
-    for i in reversed(range(len(chain))):
-        X, Y, Z = chain[i]
-        zi = inv * prefix[i] % p
-        inv = inv * Z % p
-        zi2 = zi * zi % p
-        out[i] = (X * zi2 % p, Y * zi2 % p * zi % p)
+    out = [0] * len(values)
+    for i in reversed(range(len(values))):
+        out[i] = inv * prefix[i] % p
+        inv = inv * values[i] % p
     return out
 
 
-def _with_lambda(table):
-    """The table and the same multiples of _LAMBDA*X: (_BETA*x, y)."""
-    return table, tuple((_BETA * x % _P, y) for x, y in table)
+def _batch_affine(chain):
+    """The affine points of the Jacobian points in chain, from one field
+    inversion; no Z may be 0."""
+    p = _P
+    out = []
+    for (X, Y, _), zi in zip(chain, _batch_inverse([Z for _, _, Z in chain])):
+        zi2 = zi * zi % p
+        out.append((X * zi2 % p, Y * zi2 % p * zi % p))
+    return out
 
 
 def _odd_multiples(point):
     """Affine 1X, 3X, ..., 15X for the affine point X, and the same
-    multiples of _LAMBDA*X, from one field inversion.  The chain adds
-    2X = (dx, dy, dz) by mixed addition on the isomorphic curve
+    multiples of _LAMBDA*X, (_BETA*x, y), from one field inversion.  The
+    chain adds 2X = (dx, dy, dz) by mixed addition on the isomorphic curve
     y^2 = x^3 + 7*dz^6, where 2X is (dx, dy) and X is (x*dz^2, y*dz^3);
     madd reads no curve constant, and (X', Y', Z') there is
     (X', Y', Z'*dz) on secp256k1."""
@@ -593,28 +600,53 @@ def _odd_multiples(point):
     for _ in range(_TABLE_SIZE - 1):
         acc = _jac_madd(*acc, dx, dy)
         chain.append((acc[0], acc[1], acc[2] * dz % p))
-    return _with_lambda(tuple(_batch_affine(chain)))
+    table = tuple(_batch_affine(chain))
+    return table, tuple((_BETA * x % p, y) for x, y in table)
 
 
 def _fixed_window_rows(point, rows: int, w: int):
     """Signed fixed window of width w for the affine point X (Guide to
     ECC, 3.3): row i < rows holds the affine points j*2^(w*i)*X for
-    j = 1..2^(w-1), flattened.  Each row doubles its affine base B, adds
-    B by mixed addition up to 2^(w-1)*B, doubles again for the next
-    row's base, and costs one field inversion."""
+    j = 1..2^(w-1), flattened.  One doubling chain gives the row bases
+    B_i = 2^(w*i)*X, made affine with one inversion.  The table is then
+    built by columns, column j holding j*B_i for every row, in affine
+    arithmetic: column 2 doubles every base, and while m columns are
+    done, columns m+1 up to 2m-1 add column m to columns 1 to m-1.  Each
+    such batch of columns shares one inversion (Montgomery's trick), so
+    a width-7 table costs 8 inversions."""
+    p = _P
     half = 1 << (w - 1)
-    table = []
-    for _ in range(rows):
-        x, y = point
-        acc = _jac_double(x, y, 1)
-        chain = [(x, y, 1), acc]
-        for _ in range(3, half + 1):  # 3B, ..., 2^(w-1)B
-            acc = _jac_madd(*acc, x, y)
-            chain.append(acc)
-        chain.append(_jac_double(*acc))
-        *row, point = _batch_affine(chain)
-        table += row
-    return tuple(table)
+    x, y = point
+    acc = (x, y, 1)
+    chain = [acc]
+    for _ in range(rows - 1):
+        for _ in range(w):
+            acc = _jac_double(*acc)
+        chain.append(acc)
+    bases = _batch_affine(chain)
+    # 2*B_i: slope 3x^2 / 2y, never 0 / 0 on a curve with no point of order 2
+    column = []
+    for (x, y), inv in zip(bases, _batch_inverse([2 * y for _, y in bases])):
+        s = 3 * x * x * inv % p
+        x3 = (s * s - 2 * x) % p
+        column.append((x3, (s * (x - x3) - y) % p))
+    columns = [bases, column]
+    while len(columns) < half:
+        # (m+j)*B_i = j*B_i + m*B_i; j*B_i and m*B_i share no x, since
+        # 0 < j < m and j + m <= 2^(w-1) < N, with N prime
+        top = columns[-1]
+        batch = columns[:min(len(columns) - 1, half - len(columns))]
+        invs = iter(_batch_inverse([x1 - x for col in batch
+                                    for (x1, _), (x, _) in zip(col, top)]))
+        for col in batch:
+            column = []
+            for (x1, y1), (x, y) in zip(col, top):
+                s = (y1 - y) * next(invs) % p
+                x3 = (s * s - x1 - x) % p
+                column.append((x3, (s * (x - x3) - y) % p))
+            columns.append(column)
+    # column-major to the row-major layout _fixed_window_madd reads
+    return tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 def _fixed_window_madd(r, table, k: int, w: int):
@@ -664,19 +696,21 @@ def _mul_wnaf(k: int, tables):
     return _jac_to_affine(rx, ry, rz)
 
 
-def _mul_promoted(k: int, tables):
-    """k*X for 0 < k < N from the width-5 fixed-window tables of X and of
-    _LAMBDA*X: GLV split, then about 50 mixed additions."""
+def _mul_fixed(k: int, table, w: int):
+    """k*X for 0 < k < N from the width-w fixed-window rows of X, with no
+    doubling.  k splits into k1 + k2*_LAMBDA (GLV), and both halves read
+    the one table: k2's digits sum to k2*X, _LAMBDA maps the Jacobian
+    accumulator (X', Y', Z') to (_BETA*X', Y', Z'), and k1's digits are
+    added on top."""
     k1, k2 = _glv_split(k)
-    table, table_lambda = tables
-    r = _fixed_window_madd((0, 1, 0), table, k1, _GLV_WIDTH)
-    return _jac_to_affine(*_fixed_window_madd(r, table_lambda, k2, _GLV_WIDTH))
+    rx, ry, rz = _fixed_window_madd((0, 1, 0), table, k2, w)
+    return _jac_to_affine(*_fixed_window_madd((_BETA * rx % _P, ry, rz), table, k1, w))
 
 
 class _PointTables:
     """Bounded LRU of the points _mul_glv multiplied, least recent first.
     A point maps to None after its first multiplication and to its
-    promoted fixed-window tables from its second on.  Tables are built
+    promoted fixed-window table from its second on.  Tables are built
     outside the lock; the lock guards every change to the map, which the
     threads of one process share."""
 
@@ -688,24 +722,24 @@ class _PointTables:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _put(self, point, tables) -> None:
-        self._entries[point] = tables
+    def _put(self, point, table) -> None:
+        self._entries[point] = table
         self._entries.move_to_end(point)
         if len(self._entries) > self.size:
             self._entries.popitem(last=False)
 
     def use(self, point):
         """Record a multiplication of point: (whether it was in the map,
-        its promoted tables or None)."""
+        its promoted table or None)."""
         with self._lock:
             seen = point in self._entries
-            tables = self._entries.get(point)
-            self._put(point, tables)
-        return seen, tables
+            table = self._entries.get(point)
+            self._put(point, table)
+        return seen, table
 
-    def promote(self, point, tables) -> None:
+    def promote(self, point, table) -> None:
         with self._lock:
-            self._put(point, tables)
+            self._put(point, table)
 
     def clear(self) -> None:
         with self._lock:
@@ -719,26 +753,26 @@ def _mul_glv(k: int, point):
     """k*X for 0 < k < N and the affine point X.  The first
     multiplication of X builds its odd multiples (one inversion) and runs
     the wNAF chain; the second, while X is still cached, builds its
-    fixed-window tables, which it and every later one read."""
-    seen, tables = _point_tables.use(point)
-    if tables is None:
+    fixed-window table, which it and every later one read."""
+    seen, table = _point_tables.use(point)
+    if table is None:
         if not seen:
             return _mul_wnaf(k, _odd_multiples(point))
-        tables = _with_lambda(_fixed_window_rows(point, _GLV_ROWS, _GLV_WIDTH))
-        _point_tables.promote(point, tables)
-    return _mul_promoted(k, tables)
+        table = _fixed_window_rows(point, _GLV_ROWS, _GLV_WIDTH)
+        _point_tables.promote(point, table)
+    return _mul_fixed(k, table, _GLV_WIDTH)
 
 
-# The generator G has the same kind of table over the whole scalar, of
-# width 7, shipped with the package (libsecp256k1 ships one for
-# ecmult_gen).  A scalar below N < 2^256 leaves at most 15 + 1 after 36
-# digits (252 bits), one more digit in [-63, 64] with no carry: 37 rows.
-# scripts/gen_g_table.py writes _fixed_window_rows(G, _G_ROWS, _G_WIDTH),
-# as 2,368 big-endian x || y pairs, to the file beside this module.
-_G_WIDTH = 7
-_G_ROWS = 37
-_G_TABLE_PATH = os.path.join(os.path.dirname(__file__), "secp256k1_g_w7.bin")
-_G_TABLE_SHA256 = "b5e32ba460e3549f8a1660c955c3bc07bb2fe495b6e6c6d16596057881619f5e"
+# The generator G has the same kind of table, of width 8, shipped with the
+# package (libsecp256k1 ships one for ecmult_gen).  A GLV half below 2^129
+# leaves a value in [-2, 2] after 16 digits (128 bits), one more digit
+# with no carry: 17 rows.  scripts/gen_g_table.py writes
+# _fixed_window_rows(G, _G_ROWS, _G_WIDTH), as 2,176 big-endian x || y
+# pairs, to the file beside this module.
+_G_WIDTH = 8
+_G_ROWS = 17
+_G_TABLE_PATH = os.path.join(os.path.dirname(__file__), "secp256k1_g_w8.bin")
+_G_TABLE_SHA256 = "629005c32d6375d248c0985ff2307e1648a5ae498c885ea463b99cae97e1e595"
 _g_table = None  # the parsed table, loaded on the first k*G
 
 
@@ -762,12 +796,6 @@ def _load_g_table():
     # parse their own copy, and no thread sees a partial one
     _g_table = table
     return table
-
-
-def _mul_generator(k: int):
-    """k*G for 0 < k < N from the shipped signed fixed-window table."""
-    table = _g_table or _load_g_table()
-    return _jac_to_affine(*_fixed_window_madd((0, 1, 0), table, k, _G_WIDTH))
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -804,26 +832,28 @@ class Secp256k1Group(Group):
     and threads, so a peer key decoded again skips the square root;
     rejected encodings are never cached and are checked in full each time.
 
-    k*P for the generator P recodes k into 37 signed base-128 digits and
-    adds one precomputed affine point per nonzero digit with mixed
-    Jacobian-affine additions (madd-2007-bl).  The table (2,368 points,
-    151,552 bytes) is loaded from `secp256k1_g_w7.bin` on the first k*P
+    Every k*X splits k into k1 + k2*lambda with halves below 2^129
+    (GLV).  k*P for the generator P recodes each half into 17 signed
+    base-256 digits and adds one precomputed affine point per nonzero
+    digit with mixed Jacobian-affine additions (madd-2007-bl): first k2's
+    digits, then lambda applied to the sum as (beta*X, Y, Z), then k1's,
+    all from one table of multiples of P.  The table (2,176 points,
+    139,264 bytes) is loaded from `secp256k1_g_w8.bin` on the first k*P
     and checked against a SHA-256 digest; a missing or altered file
     raises RuntimeError.
 
-    For any other point X, k*X splits k into k1 + k2*lambda with halves
-    below 2^129 (GLV).  The first multiplication of X recodes both halves
-    as width-5 wNAF and runs one doubling chain of about 129 steps for
-    both, adding affine odd multiples of X and of lambda*X from a table
-    built with one inversion.  The second multiplication of X, if X is
-    still among the 16 most recently multiplied points, instead builds
-    27-row signed fixed-window tables of width 5 of X and lambda*X (one
-    inversion per row, about 7.5 ms and 130 KB), which it and every later
-    multiplication of X read like the generator's: about 50 mixed
+    The first multiplication of any other point X recodes both halves as
+    width-5 wNAF and runs one doubling chain of about 129 steps for both,
+    adding affine odd multiples of X and of lambda*X from a table built
+    with one inversion.  The second multiplication of X, if X is still
+    among the 16 most recently multiplied points, instead builds a
+    19-row signed fixed-window table of width 7 of X (one inversion per
+    column, about 8 ms and 200 KB), which it and every later
+    multiplication of X read like the generator's: about 37 mixed
     additions and no doublings.  So Ppub and repeated peer keys are
     promoted on their second use, and a point used once, as in a one-shot
-    CLI command, never pays the build.  The map of recent points is shared by all
-    instances and threads.
+    CLI command, never pays the build.  The map of recent points is
+    shared by all instances and threads.
     """
 
     def __init__(self) -> None:
@@ -854,7 +884,7 @@ class Secp256k1Group(Group):
         if xv is None or k == 0:
             return None
         if xv == (_GX, _GY):
-            return _mul_generator(k)
+            return _mul_fixed(k, _g_table or _load_g_table(), _G_WIDTH)
         return _mul_glv(k, xv)
 
     def _encode_value(self, xv) -> bytes:

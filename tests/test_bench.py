@@ -79,6 +79,63 @@ class TestRowFilter:
             bench_run(params, 10, rows=("scalar_mult", "keygen"))
 
 
+class TestRepeatedPasses:
+    def test_each_row_reports_its_pass_means(self, monkeypatch):
+        calls = []
+
+        def fake_time_loop(fn, inputs):
+            # every sample of the c-th timed pass of any row takes c seconds
+            calls.append(fn)
+            return [float(len(calls))] * len(inputs)
+
+        monkeypatch.setattr("hsc.bench._time_loop", fake_time_loop)
+        params, _ = keys.setup("toy-101", rng=random.Random(3))
+        report = bench_run(params, iterations=5, rng=random.Random(4),
+                           rows=("scalar_mult", "hash_to_scalar"), repeat=4)
+        # the passes interleave: scalar_mult is timed 1st, 3rd, 5th and 7th
+        assert len(calls) == 8 and calls[0] is not calls[1]
+        row = report.timing("scalar_mult")
+        assert (row.passes, row.iterations) == (4, 5)
+        assert row.mean_s == row.pass_median_s == 4.0
+        assert row.pass_iqr_s == 5.5 - 2.5
+        assert report.timing("hash_to_scalar").pass_median_s == 5.0
+
+    def test_single_pass_has_no_spread(self, toy_report):
+        for t in toy_report.timings:
+            assert t.passes == 1 and t.pass_iqr_s == 0.0
+            assert t.pass_median_s == pytest.approx(t.mean_s)
+
+    def test_every_row_in_csv_and_json(self):
+        params, _ = keys.setup("toy-101", n=64, rng=random.Random(8))
+        report = bench_run(params, iterations=20, algo_iterations=2,
+                           rng=random.Random(9), repeat=3)
+        assert [t.name for t in report.timings] == EXPECTED_OPS
+        timing_rows = [r for r in csv.DictReader(io.StringIO(report.to_csv()))
+                       if r["record"] == "timing"]
+        assert len(timing_rows) == len(EXPECTED_OPS)
+        for row in timing_rows:
+            assert row["passes"] == "3"
+            assert float(row["pass_median_s"]) > 0 and float(row["pass_iqr_s"]) >= 0
+        assert json.loads(report.to_json())["rows"][0]["passes"] == 3
+
+    @pytest.mark.parametrize("repeat", [0, -1])
+    def test_rejects_nonpositive_repeat(self, repeat):
+        params, _ = keys.setup("toy-13", rng=random.Random(1))
+        with pytest.raises(ValueError, match="repeat must be >= 1"):
+            bench_run(params, 10, repeat=repeat)
+
+    def test_cli_repeat(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["setup", "--group", "toy-101", "--params", "p.hsc",
+                         "--out", "m.hsc"]) == 0
+        assert cli.main(["bench", "--params", "p.hsc", "--iters", "20",
+                         "--repeat", "2", "--out", "r.csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "r.csv").read_text())))
+        assert {r["passes"] for r in rows if r["record"] == "timing"} == {"2"}
+        assert cli.main(["bench", "--params", "p.hsc", "--iters", "20",
+                         "--repeat", "0"]) == 2
+
+
 class TestToyGroupKeys:
     """On toy-13, x_c + d == 0 has probability 1/12 per draw, so the
     bench's own CLC keys must go through the resampling finalize."""

@@ -242,6 +242,25 @@ class TestFileHygiene:
         assert len(result.stderr.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_setup_writes_no_params_when_the_master_key_exists(self, tmp_path):
+        (tmp_path / "m.hsc").write_bytes(b"keep")
+        result = run(["setup", "--group", "toy-101", "--params", "p.hsc",
+                      "--out", "m.hsc"], tmp_path, expect=4)
+        assert result.stderr == "ERROR io: m.hsc exists; pass --force to overwrite\n"
+        # a params file written anyway would name a discarded master key
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["m.hsc"]
+        assert (tmp_path / "m.hsc").read_bytes() == b"keep"
+
+    def test_bench_writes_no_csv_when_the_json_exists(self, tmp_path):
+        run(["setup", "--group", "toy-101", "--params", "p.hsc",
+             "--out", "m.hsc"], tmp_path)
+        (tmp_path / "r.json").write_bytes(b"keep")
+        result = run(["bench", "--params", "p.hsc", "--iters", "20",
+                      "--out", "r.csv", "--json", "r.json"], tmp_path, expect=4)
+        assert result.stderr == "ERROR io: r.json exists; pass --force to overwrite\n"
+        assert not (tmp_path / "r.csv").exists()
+        assert (tmp_path / "r.json").read_bytes() == b"keep"
+
     def test_finalize_identity_mismatch_exits_3(self, workspace):
         result = run(["clc-finalize", "--params", "params.hsc",
                       "--key", "bob_partial.hsc", "--id", "mallory",

@@ -620,7 +620,7 @@ class TestMixedAdd:
 
 
 class TestBatchAffine:
-    # 17: a width-5 row plus the next base; 65: a width-7 row plus the next base
+    # 17: the row bases of G's table
     @pytest.mark.parametrize("length", [1, 2, 17, 65])
     def test_matches_one_inversion_per_point(self, length):
         rng = random.Random(length)
@@ -695,7 +695,7 @@ class TestGlvAgainstLadder:
         assert results == expected
 
 
-# scalars whose signed base-128 recoding carries into the 37th row
+# scalars whose signed base-128 recoding carries into a 37th digit
 _CARRY_SCALARS = [_N - 1, 65 << 245, sum(65 << (7 * i) for i in range(36))]
 _GEN_TABLE_SCALARS = (EDGE_SCALARS + [2**255, 2**256 % _N, 2**257 % _N]
                       + [_N - 1, 9 << 252, int("8" * 63 + "9", 16)] + _CARRY_SCALARS[1:])
@@ -725,8 +725,9 @@ def _glv_of_generator(k):
 
 
 class TestGeneratorTable:
-    """k*G takes the shipped signed fixed-window table; every other
-    point, -G included, takes the GLV path."""
+    """k*G takes the shipped signed fixed-window table of width 8 over
+    both GLV halves; every other point, -G included, takes the GLV path
+    through tables of its own."""
 
     def test_script_reproduces_the_shipped_file(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / "gen_g_table.py"
@@ -734,13 +735,15 @@ class TestGeneratorTable:
         with open(group_module._G_TABLE_PATH, "rb") as f:
             shipped = f.read()
         assert built == shipped
-        assert len(shipped) == 37 * 64 * 64
+        assert (group_module._G_WIDTH, group_module._G_ROWS) == (8, 17)
+        assert len(shipped) == 17 * 128 * 64 == 139_264
         assert hashlib.sha256(shipped).hexdigest() == group_module._G_TABLE_SHA256
 
     def test_file_sits_next_to_the_group_module(self):
-        path = Path(group_module.__file__).with_name("secp256k1_g_w7.bin")
+        path = Path(group_module.__file__).with_name("secp256k1_g_w8.bin")
         assert path.is_file()
         assert Path(group_module._G_TABLE_PATH) == path
+        assert not path.with_name("secp256k1_g_w7.bin").exists()
 
     def test_every_table_file_is_package_data(self):
         tomllib = pytest.importorskip("tomllib")
@@ -748,7 +751,8 @@ class TestGeneratorTable:
         with open(root / "pyproject.toml", "rb") as f:
             package_data = tomllib.load(f)["tool"]["setuptools"]["package-data"]["hsc"]
         shipped = sorted(path.name for path in (root / "src" / "hsc").glob("*.bin"))
-        assert shipped and set(shipped) <= set(package_data)
+        # package data names every shipped table and no file that is gone
+        assert shipped == sorted(package_data) == ["secp256k1_g_w8.bin"]
 
     def test_random_scalars_match_glv_and_ladder(self, secp):
         rng = random.Random(61)
@@ -758,12 +762,16 @@ class TestGeneratorTable:
             assert value == _glv_of_generator(k)
             assert value == ladder_mul(k, _GEN)
 
-    def test_carry_scalars_need_the_37th_row(self):
-        for k in _CARRY_SCALARS:
-            digits = _signed_digits(k, 7)
-            # the top row holds the scalar's top 4 bits plus a carry
-            assert len(digits) == 37 and digits[-1] == (k >> 252) + 1
-            assert _digits_ok(k, 7, digits)
+    def test_17_rows_cover_every_half_below_2_129(self):
+        table = group_module._g_table or group_module._load_g_table()
+        assert len(table) == 17 * 128
+        for half in (2**129 - 1, -(2**129 - 1), 2**128, -(2**128) - 1, 0):
+            r = group_module._fixed_window_madd((0, 1, 0), table, half, 8)
+            assert group_module._jac_to_affine(*r) == ladder_mul(half, _GEN)
+        # the 17th digit of a half below 2^129 is at most 2, so no carry
+        # asks for an 18th row
+        assert max(len(_signed_digits(h, 8)) for h in range(2**129 - 40, 2**129)) == 17
+        assert len(_signed_digits(-(2**129 - 1), 8)) == 17
 
     @pytest.mark.parametrize("k", _GEN_TABLE_SCALARS)
     def test_edge_scalars(self, secp, k):
@@ -791,13 +799,13 @@ class TestGeneratorTable:
         secp._mul_value(5, prod.params.Ppub.value)
         assert group_module._g_table is None
         secp._mul_value(5, _GEN)
-        assert len(group_module._g_table) == 37 * 64
+        assert len(group_module._g_table) == 17 * 128
 
     def test_corrupted_table_raises(self, secp, tmp_path, monkeypatch):
         with open(group_module._G_TABLE_PATH, "rb") as f:
             data = bytearray(f.read())
         data[1000] ^= 1
-        corrupt = tmp_path / "secp256k1_g_w7.bin"
+        corrupt = tmp_path / "secp256k1_g_w8.bin"
         corrupt.write_bytes(bytes(data))
         monkeypatch.setattr(group_module, "_G_TABLE_PATH", str(corrupt))
         monkeypatch.setattr(group_module, "_g_table", None)
@@ -839,15 +847,16 @@ _PROMOTED_SCALARS = [1, 2, 8, 9, 16, _N - 1] + _LONG_HALF_SCALARS
 
 @functools.cache
 def _promoted_table():
-    """A random point X and its width-5 fixed-window rows, built once."""
+    """A random point X and its width-7 fixed-window rows, built once."""
     (X,) = _random_points(1, seed=73)
     return X, group_module._fixed_window_rows(X, group_module._GLV_ROWS,
                                               group_module._GLV_WIDTH)
 
 
 class TestPromotedTable:
-    """A point other than G gets 27-row fixed-window tables of width 5 of
-    its own on its second multiplication while it is still cached."""
+    """A point other than G gets a 19-row fixed-window table of width 7 of
+    its own on its second multiplication while it is still cached; both
+    GLV halves read it."""
 
     def _bases(self, prod):
         X, Y = _random_points(2, seed=71)
@@ -856,33 +865,56 @@ class TestPromotedTable:
 
     def test_rows_are_fixed_window_multiples(self):
         (X,) = _random_points(1, seed=72)
-        table, table_lambda = group_module._with_lambda(
-            group_module._fixed_window_rows(X, 27, 5))
-        assert len(table) == len(table_lambda) == 27 * 16
-        for i in (0, 1, 26):
-            for j in range(1, 17):
-                assert table[16 * i + j - 1] == ladder_mul(j * 32**i, X)
-                assert table_lambda[16 * i + j - 1] == ladder_mul(j * 32**i * _LAMBDA, X)
+        table = group_module._fixed_window_rows(X, 19, 7)
+        assert len(table) == 19 * 64
+        for i in (0, 1, 18):
+            # j*B for the row base B, by the independent affine law
+            base = ladder_mul(128**i, X)
+            multiple = None
+            for j in range(1, 65):
+                multiple = affine_add(multiple, base)
+                assert table[64 * i + j - 1] == multiple
 
-    def test_long_halves_need_the_26th_row(self):
+    def test_long_halves_need_the_last_row(self):
         seen = set()
         for k in _LONG_HALF_SCALARS:
             for index, half in enumerate(group_module._glv_split(k)):
-                digits = _signed_digits(half, 5)
-                assert _digits_ok(half, 5, digits)
-                assert len(digits) == 26
+                # 18 digits of width 7 cover 126 bits
+                digits = _signed_digits(half, 7)
+                assert _digits_ok(half, 7, digits)
+                assert len(digits) == 19
                 seen.add((index, half < 0))
         assert seen == {(0, True), (1, True), (0, False), (1, False)}
 
-    def test_27_rows_cover_every_half_below_2_129(self):
-        assert (group_module._GLV_WIDTH, group_module._GLV_ROWS) == (5, 27)
+    def test_19_rows_cover_every_half_below_2_129(self):
+        assert (group_module._GLV_WIDTH, group_module._GLV_ROWS) == (7, 19)
         X, table = _promoted_table()
-        for half in (2**129 - 1, -(2**129 - 1), 2**128 + 12345, -(2**128) - 1):
-            r = group_module._fixed_window_madd((0, 1, 0), table, half, 5)
+        for half in (2**129 - 1, -(2**129 - 1), 2**128 + 12345, -(2**128) - 1, 0):
+            r = group_module._fixed_window_madd((0, 1, 0), table, half, 7)
             assert group_module._jac_to_affine(*r) == ladder_mul(half, X)
-        # -16 recodes as 16 and a carry of -1: the 27th row
-        assert len(_signed_digits(-(2**129 - 1), 5)) == 27
-        assert max(len(_signed_digits(h, 5)) for h in range(2**129 - 40, 2**129)) == 26
+        # the 19th digit of a half below 2^129 is at most 8, so no carry
+        # asks for a 20th row
+        assert len(_signed_digits(-(2**129 - 1), 7)) == 19
+        assert max(len(_signed_digits(h, 7)) for h in range(2**129 - 40, 2**129)) == 19
+
+    def test_a_zero_k2_half_adds_only_k1(self, secp):
+        # k2 = 0 leaves the identity for _LAMBDA to map: (0, 1, 0) again
+        X, table = _promoted_table()
+        g_table = group_module._g_table or group_module._load_g_table()
+        for k in (1, 2, 2**64 + 3, _N - 1, _N - 2**64):
+            assert group_module._glv_split(k)[1] == 0
+            assert group_module._mul_fixed(k, table, 7) == ladder_mul(k, X)
+            assert group_module._mul_fixed(k, g_table, 8) == ladder_mul(k, _GEN)
+
+    def test_promoted_table_holds_19_rows_of_64_points(self, secp):
+        (X,) = _random_points(1, seed=80)
+        group_module._point_tables.clear()
+        for k in (3, 5):
+            secp._mul_value(k, X)
+        # one table, with no stored copy for _LAMBDA*X
+        table = group_module._point_tables._entries[X]
+        assert len(table) == 19 * 64
+        assert table == group_module._fixed_window_rows(X, 19, 7)
 
     def test_cold_and_warm_against_ladder(self, secp, prod):
         rng = random.Random(74)
@@ -966,27 +998,73 @@ class TestPromotedTable:
         assert table_builds == {"_odd_multiples": [], "_fixed_window_rows": []}
 
 
-class TestSignedDigitLoop:
-    """_fixed_window_madd at both widths in use against the ladder: the
-    shipped width-7 table over scalars below N, and width-5 rows over GLV
-    halves of either sign below 2^129."""
+def _rows_one_at_a_time(point, rows, w):
+    """The fixed-window rows as the library built them before it batched
+    them by column: each row doubles its affine base B, adds B by mixed
+    addition up to 2^(w-1)*B, doubles again for the next row's base and
+    makes the row affine with one inversion."""
+    half = 1 << (w - 1)
+    table = []
+    for _ in range(rows):
+        x, y = point
+        acc = group_module._jac_double(x, y, 1)
+        chain = [(x, y, 1), acc]
+        for _ in range(3, half + 1):
+            acc = group_module._jac_madd(*acc, x, y)
+            chain.append(acc)
+        chain.append(group_module._jac_double(*acc))
+        *row, point = group_module._batch_affine(chain)
+        table += row
+    return tuple(table)
 
-    @settings(max_examples=100, deadline=None)
-    @given(k=st.integers(0, _N - 1))
-    @example(k=_N - 1)
-    @example(k=_CARRY_SCALARS[1])
-    @example(k=_CARRY_SCALARS[2])
-    def test_generator_table(self, k):
-        table = group_module._g_table or group_module._load_g_table()
-        r = group_module._fixed_window_madd((0, 1, 0), table, k, group_module._G_WIDTH)
-        assert group_module._jac_to_affine(*r) == ladder_mul(k, _GEN)
+
+class TestColumnBuilder:
+    """_fixed_window_rows builds the table a column at a time; the
+    row-by-row builder above is its reference."""
+
+    @pytest.mark.parametrize("w", [5, 6, 7, 8])
+    def test_matches_the_row_by_row_builder(self, w):
+        for rows, X in zip((1, 2, 4), _random_points(3, seed=90 + w)):
+            assert group_module._fixed_window_rows(X, rows, w) == \
+                _rows_one_at_a_time(X, rows, w)
+
+    def test_generator_file_from_either_builder(self):
+        with open(group_module._G_TABLE_PATH, "rb") as f:
+            shipped = f.read()
+        table = _rows_one_at_a_time(_GEN, group_module._G_ROWS, group_module._G_WIDTH)
+        data = b"".join(x.to_bytes(32, "big") + y.to_bytes(32, "big") for x, y in table)
+        assert hashlib.sha256(data).hexdigest() == group_module._G_TABLE_SHA256 == \
+            hashlib.sha256(shipped).hexdigest()
+
+    def test_batch_inverse(self):
+        rng = random.Random(91)
+        values = [rng.randrange(1, _P) for _ in range(9)] + [-3, _P + 5]
+        assert group_module._batch_inverse(values) == [egcd_inverse(v, _P) for v in values]
+
+
+class TestSignedDigitLoop:
+    """_fixed_window_madd at both widths in use against the ladder, over
+    GLV halves of either sign below 2^129: the shipped width-8 table of G
+    and the width-7 rows of a promoted point."""
 
     @settings(max_examples=100, deadline=None)
     @given(half=st.integers(-(2**129) + 1, 2**129 - 1))
     @example(half=2**129 - 1)
     @example(half=-(2**129 - 1))
-    @example(half=2**125 - 1)  # carries into the 26th row
-    @example(half=-31 << 124)  # carries into the 27th row
+    @example(half=0)
+    @example(half=2**128 - 1)  # carries into the 17th row
+    @example(half=-129 << 120)  # carries into the 17th row, negative
+    def test_generator_table(self, half):
+        table = group_module._g_table or group_module._load_g_table()
+        r = group_module._fixed_window_madd((0, 1, 0), table, half, group_module._G_WIDTH)
+        assert group_module._jac_to_affine(*r) == ladder_mul(half, _GEN)
+
+    @settings(max_examples=100, deadline=None)
+    @given(half=st.integers(-(2**129) + 1, 2**129 - 1))
+    @example(half=2**129 - 1)
+    @example(half=-(2**129 - 1))
+    @example(half=2**126 - 1)  # carries into the 19th row
+    @example(half=-65 << 120)  # carries into the 19th row, negative
     def test_promoted_rows(self, half):
         X, table = _promoted_table()
         r = group_module._fixed_window_madd((0, 1, 0), table, half, group_module._GLV_WIDTH)

@@ -7,9 +7,15 @@ same (x, y), with one documented exception: hsc reads 33 zero bytes as
 the identity, which has no SEC 1 compressed form.  Every encoding is
 decoded twice, once with the cache of recent decodes cleared and once
 more, which for an accepted encoding is a cache hit.
+
+Multiplication: k*G must be the public key OpenSSL derives from the
+private key k, and k*X for X = j*G must be OpenSSL's (k*j mod N)*G, on
+X's first use, on the call that promotes X and on a warm call.
 """
 
 import random
+
+from test_group import EDGE_SCALARS, _LONG_HALF_SCALARS
 
 import pytest
 
@@ -23,6 +29,7 @@ ec = pytest.importorskip(
 serialization = pytest.importorskip("cryptography.hazmat.primitives.serialization")
 
 _P = group_module._P
+_N = group_module._N
 _GX = group_module._GX
 _IDENTITY = b"\x00" * 33
 _REJECTED = "rejected"
@@ -47,14 +54,15 @@ def _hsc_decode(secp, data: bytes):
         return _REJECTED
 
 
+def _openssl_encoding(k: int) -> bytes:
+    """The compressed encoding of k*G for 0 < k < N, made by OpenSSL."""
+    return ec.derive_private_key(k, ec.SECP256K1()).public_key().public_bytes(
+        serialization.Encoding.X962, serialization.PublicFormat.CompressedPoint)
+
+
 def _openssl_points(count: int, rng):
     """Compressed encodings of random public keys, made by OpenSSL."""
-    out = []
-    for _ in range(count):
-        key = ec.derive_private_key(rng.randrange(1, group_module._N), ec.SECP256K1())
-        out.append(key.public_key().public_bytes(
-            serialization.Encoding.X962, serialization.PublicFormat.CompressedPoint))
-    return out
+    return [_openssl_encoding(rng.randrange(1, _N)) for _ in range(count)]
 
 
 def _edge_encodings():
@@ -99,3 +107,40 @@ class TestDecodeAgainstOpenSSL:
         assert _openssl_decode(_IDENTITY) == _REJECTED
         assert secp.decode_element(_IDENTITY).is_identity()
         assert secp.decode_element(_IDENTITY).is_identity()
+
+
+def _openssl_mul_g(k: int):
+    """(x, y) of k*G for 0 < k < N, from OpenSSL."""
+    numbers = ec.derive_private_key(k, ec.SECP256K1()).public_key().public_numbers()
+    return numbers.x, numbers.y
+
+
+@pytest.fixture(scope="module")
+def scalars():
+    """The edge scalars, scalars with GLV halves of 127 and 128 bits of
+    both signs, and random ones; 0 has no OpenSSL key and is checked on
+    its own."""
+    rng = random.Random(1302)
+    return ([k for k in EDGE_SCALARS if k] + _LONG_HALF_SCALARS
+            + [rng.randrange(1, _N) for _ in range(16)])
+
+
+class TestMultiplyAgainstOpenSSL:
+    def test_generator(self, scalars):
+        secp = Secp256k1Group()
+        for k in scalars:
+            assert (k * secp.generator()).value == _openssl_mul_g(k), hex(k)
+        assert (0 * secp.generator()).is_identity()
+
+    def test_points_on_first_use_promotion_and_warm_call(self, scalars):
+        secp = Secp256k1Group()
+        rng = random.Random(1303)
+        for k in scalars:
+            j = rng.randrange(1, _N)
+            X = secp.decode_element(_openssl_encoding(j))
+            expected = _openssl_mul_g(k * j % _N)
+            group_module._point_tables.clear()
+            # the odd-multiples path, then the promotion, then the table
+            for call in ("first use", "promotion", "warm"):
+                assert (k * X).value == expected, (call, hex(k))
+            assert (0 * X).is_identity()
