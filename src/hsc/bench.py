@@ -8,10 +8,13 @@ each over fresh random inputs pre-generated outside the timed region; a
 caller may time a subset of the primitives alone.  On secp256k1 a pool
 point takes the first-use GLV + wNAF path, P the shipped fixed-window
 table of the generator, and the repeated point (Ppub) the fixed-window
-table it is promoted to on its second use; decoding a pool point takes a
-square root, and decoding Ppub's encoding again hits the cache of recent
-decodes.  Operation counts come from scoped counters around one
-invocation of each algorithm -- measured, never hardcoded.
+table it is promoted to on its second use, by an untimed warm-up before
+each pass; decoding a pool point takes a square root, and decoding
+Ppub's encoding again hits the cache of recent decodes.  On secp256k1
+two more rows time the point kernels themselves, a Jacobian doubling
+and a mixed Jacobian-affine addition.  Operation counts come from scoped
+counters around one invocation of each algorithm -- measured, never
+hardcoded.
 
 With `repeat` R > 1 every row is timed in R passes, interleaved (each
 pass times every row once, so a slow stretch of the host falls on all
@@ -38,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .group import OpCounter
+from .group import OpCounter, Secp256k1Group, _P, _jac_double, _jac_madd
 from .keys import (
     ClcKeyPair,
     PkiKeyPair,
@@ -198,11 +201,14 @@ def _time_loop(fn, inputs) -> list[float]:
     return samples
 
 
-def _time_rows(rows, repeat: int) -> list[OpTiming]:
-    """Time each (name, fn, inputs) row in `repeat` interleaved passes."""
+def _time_rows(rows, repeat: int, warm) -> list[OpTiming]:
+    """Time each (name, fn, inputs) row in `repeat` interleaved passes;
+    warm[name](), where given, runs untimed before each pass of that row."""
     passes = {name: [] for name, _, _ in rows}
     for _ in range(repeat):
         for name, fn, inputs in rows:
+            if name in warm:
+                warm[name]()
             passes[name].append(_time_loop(fn, inputs))
     out = []
     for name, samples in passes.items():
@@ -229,8 +235,9 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
 
     `rows`, when given, names the primitive rows to time (`scalar_mult`,
     `scalar_mult_fixed`, `scalar_mult_repeat`, `group_add`,
-    `hash_to_scalar`, `decode_element`, `decode_element_repeat`); the
-    other rows, the algorithm rows and the op counts are then skipped.
+    `hash_to_scalar`, `decode_element`, `decode_element_repeat`, and on
+    secp256k1 `jac_double` and `jac_madd`); the other rows, the
+    algorithm rows and the op counts are then skipped.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -262,8 +269,9 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
          [(scalars[i], pick(i)) for i in range(iterations)]),
         # on secp256k1, k*P reads the shipped fixed-window table
         ("scalar_mult_fixed", group.mul, [(k, params.P) for k in scalars]),
-        # one point over and over: on secp256k1 its second call builds the
-        # point's fixed-window table, which every later call reads
+        # one point over and over: on secp256k1 the untimed warm-up before
+        # each pass promotes it again (scalar_mult, just before, evicts it
+        # from the cache), so every timed call reads its fixed-window table
         ("scalar_mult_repeat", group.mul, [(k, params.Ppub) for k in scalars]),
         ("group_add", group.add,
          [(pick(i), pick(i + 1)) for i in range(iterations)]),
@@ -278,11 +286,34 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
         ("decode_element_repeat", group.decode_element,
          [(params.Ppub.encode(),)] * iterations),
     ]
+    if isinstance(group, Secp256k1Group):
+        # the two point kernels every multiplication path ends in, on the
+        # pool points in Jacobian coordinates with a random Z; jac_madd
+        # adds the next pool point, affine
+        jac = []
+        for X in pool:
+            x, y = X.value
+            z = rng.randrange(1, _P)
+            jac.append((x * z * z % _P, y * z * z * z % _P, z))
+        primitives += [
+            ("jac_double", _jac_double, [jac[i % len(jac)] for i in range(iterations)]),
+            ("jac_madd", _jac_madd,
+             [jac[i % len(jac)] + pick(i + 1).value for i in range(iterations)]),
+        ]
+
+    def warm_ppub():
+        # a first use of Ppub, then its promotion; two cache hits when
+        # it is still promoted
+        group.mul(scalars[0], params.Ppub)
+        group.mul(scalars[0], params.Ppub)
+
+    warm = {"scalar_mult_repeat": warm_ppub}
     if rows is not None:
         unknown = set(rows) - {name for name, _, _ in primitives}
         if unknown:
             raise ValueError(f"unknown bench rows: {', '.join(sorted(unknown))}")
-        report.timings = _time_rows([row for row in primitives if row[0] in rows], repeat)
+        report.timings = _time_rows([row for row in primitives if row[0] in rows],
+                                    repeat, warm)
         return report
 
     # key material for the algorithm benchmarks; the bench provisions its
@@ -311,7 +342,7 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
         sigmas = [(sign(m),) for m in algo_msgs]
         timed += [(f"{mode}_signcrypt", sign, [(m,) for m in algo_msgs]),
                   (f"{mode}_unsigncrypt", unsign, sigmas)]
-    report.timings = _time_rows(timed, repeat)
+    report.timings = _time_rows(timed, repeat, warm)
 
     # measured per-algorithm operation counts, one scoped invocation each
     with group.counting() as c:

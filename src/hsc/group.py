@@ -458,40 +458,46 @@ _INFINITY_ENCODING = b"\x00" * 33
 
 
 def _jac_double(X1, Y1, Z1):
-    # dbl-2009-l, a = 0
+    # dbl-2009-l for a = 0 in its S/M form (Guide to ECC, Alg. 3.21):
+    # S = 4*X1*Y1^2 replaces 2*((X1+Y1^2)^2 - X1^2 - Y1^4).  A reduction
+    # mod p costs more than a 256-bit product, so only the six values
+    # that are multiplied again or returned are reduced; YY^2 (512 bits)
+    # feeds only Y3's sum and stays unreduced.  The identity (Z1 = 0)
+    # doubles to Z3 = 0.
     p = _P
-    A = X1 * X1 % p
-    B = Y1 * Y1 % p
-    C = B * B % p
-    D = 2 * ((X1 + B) * (X1 + B) - A - C) % p
-    E = 3 * A % p
-    F = E * E % p
-    X3 = (F - 2 * D) % p
-    Y3 = (E * (D - X3) - 8 * C) % p
+    YY = Y1 * Y1 % p
+    S = 4 * X1 * YY % p
+    M = 3 * X1 * X1 % p
+    X3 = (M * M - 2 * S) % p
+    Y3 = (M * (S - X3) - 8 * YY * YY) % p
     Z3 = 2 * Y1 * Z1 % p
     return X3, Y3, Z3
 
 
 def _jac_madd(X1, Y1, Z1, x2, y2):
-    # madd-2007-bl: Jacobian plus affine (Z2 = 1), with Z3 = 2*Z1*H in
-    # place of (Z1+H)^2-Z1Z1-HH; doubles when the inputs coincide and
-    # gives the identity when they are opposite
+    # madd-2007-bl, Jacobian plus affine (Z2 = 1), without its factors of
+    # 2 and 4 (Guide to ECC, Alg. 3.22): r = S2 - Y1, HH = H^2,
+    # HHH = H*HH, Z3 = Z1*H, a representative of the same affine point.
+    # Z1*Z1Z1 is reduced before y2 multiplies it, so no product exceeds
+    # 512 bits; HHH is reduced because Y1*HHH would otherwise reach 768
+    # bits.  H and r are reduced before the tests: the inputs coincide
+    # (double) when both are 0 and are opposite (identity) when only H is.
     if Z1 == 0:
         return x2, y2, 1
     p = _P
     Z1Z1 = Z1 * Z1 % p
     H = (x2 * Z1Z1 - X1) % p
-    r = 2 * (y2 * Z1 * Z1Z1 - Y1) % p
+    r = (y2 * (Z1 * Z1Z1 % p) - Y1) % p
     if H == 0:
         if r == 0:
             return _jac_double(X1, Y1, Z1)
         return 0, 1, 0
-    I = 4 * H * H % p
-    J = H * I % p
-    V = X1 * I % p
-    X3 = (r * r - J - 2 * V) % p
-    Y3 = (r * (V - X3) - 2 * Y1 * J) % p
-    Z3 = 2 * Z1 * H % p
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X1 * HH % p
+    X3 = (r * r - HHH - 2 * V) % p
+    Y3 = (r * (V - X3) - Y1 * HHH) % p
+    Z3 = Z1 * H % p
     return X3, Y3, Z3
 
 

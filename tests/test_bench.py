@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from hsc import cli, group, keys
+from hsc import bench, cli, group, keys
 from hsc.bench import CSV_COLUMNS, bench_run, git_commit
 
 EXPECTED_OPS = [
@@ -67,11 +67,32 @@ class TestRowFilter:
         report = bench_run(params, iterations=20, rng=random.Random(6),
                            rows=("scalar_mult_repeat",))
         assert [t.name for t in report.timings] == ["scalar_mult_repeat"]
-        assert builds == [params.Ppub.value]  # on the row's second call only
+        assert builds == [params.Ppub.value]  # in the untimed warm-up
         # scalar_mult cycles 64 points through the 16-entry cache, so it
         # keeps timing the first-use path, which C8 relies on
         bench_run(params, iterations=150, rng=random.Random(7), rows=("scalar_mult",))
         assert builds == [params.Ppub.value]
+
+    def test_repeat_row_times_only_the_promoted_path(self, table_builds, monkeypatch):
+        # scalar_mult, timed just before, evicts Ppub from the cache in
+        # every pass; the warm-up, not a timed call, must promote it again
+        params, _ = keys.setup("secp256k1", rng=random.Random(5))
+        builds = table_builds["_fixed_window_rows"]
+        timed_builds = []
+        time_loop = bench._time_loop
+
+        def spy(fn, inputs):
+            before = len(builds)
+            samples = time_loop(fn, inputs)
+            timed_builds.extend(builds[before:])
+            return samples
+
+        monkeypatch.setattr(bench, "_time_loop", spy)
+        group._point_tables.clear()
+        bench_run(params, iterations=20, rng=random.Random(6),
+                  rows=("scalar_mult", "scalar_mult_repeat"), repeat=3)
+        assert timed_builds == []
+        assert builds == [params.Ppub.value] * 3
 
     def test_unknown_row_raises(self):
         params, _ = keys.setup("toy-13", rng=random.Random(1))
@@ -134,6 +155,33 @@ class TestRepeatedPasses:
         assert {r["passes"] for r in rows if r["record"] == "timing"} == {"2"}
         assert cli.main(["bench", "--params", "p.hsc", "--iters", "20",
                          "--repeat", "0"]) == 2
+
+
+class TestKernelRows:
+    """secp256k1 adds a row for each point kernel; toy groups have none."""
+
+    def test_secp256k1_times_the_kernels(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["setup", "--group", "secp256k1", "--params", "p.hsc",
+                         "--out", "m.hsc"]) == 0
+        assert cli.main(["bench", "--params", "p.hsc", "--iters", "20",
+                         "--json", "b.json"]) == 0
+        rows = [r for r in json.loads((tmp_path / "b.json").read_text())["rows"]
+                if r["record"] == "timing"]
+        assert [r["name"] for r in rows] == \
+            EXPECTED_OPS[:7] + ["jac_double", "jac_madd"] + EXPECTED_OPS[7:]
+        for row in rows[7:9]:
+            assert row["iterations"] == 20 and float(row["mean_s"]) > 0
+
+    def test_rows_filter_selects_them(self):
+        params, _ = keys.setup("secp256k1", rng=random.Random(5))
+        report = bench_run(params, iterations=8, rng=random.Random(6),
+                           rows=("jac_madd", "jac_double"))
+        assert [(t.name, t.iterations) for t in report.timings] == \
+            [("jac_double", 8), ("jac_madd", 8)]
+        toy, _ = keys.setup("toy-101", rng=random.Random(5))
+        with pytest.raises(ValueError, match="jac_double"):
+            bench_run(toy, 8, rows=("jac_double",))
 
 
 class TestToyGroupKeys:

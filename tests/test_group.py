@@ -598,25 +598,74 @@ class TestGlvSplit:
             assert digits[-1] > 0
 
 
+@functools.cache
+def _kernel_points():
+    return _random_points(8, seed=21)
+
+
+# the kernels' inputs: one of 8 random points in Jacobian coordinates with
+# a random Z, which picks the representative the formulas see
+_point_index = st.integers(0, 7)
+_z = st.integers(1, _P - 1)
+_kernel_settings = settings(max_examples=25, deadline=None)
+
+
 class TestMixedAdd:
-    def test_coinciding_inputs_double(self):
-        madd = group_module._jac_madd
-        for X in _random_points(4, seed=21):
-            doubled = madd(*_jacobian(X, 0xC0FFEE), *X)
-            assert _to_affine(*doubled) == affine_add(X, X)
+    @_kernel_settings
+    @given(i=_point_index, z=_z)
+    @example(i=0, z=1)
+    @example(i=0, z=_P - 1)
+    def test_coinciding_inputs_double(self, i, z):
+        X = _kernel_points()[i]
+        doubled = group_module._jac_madd(*_jacobian(X, z), *X)
+        assert doubled[2] != 0
+        assert _to_affine(*doubled) == affine_add(X, X)
 
-    def test_opposite_inputs_give_identity(self):
-        madd = group_module._jac_madd
-        for X in _random_points(4, seed=22):
-            assert madd(*_jacobian(X, 12345), X[0], _P - X[1])[2] == 0
+    @_kernel_settings
+    @given(i=_point_index, z=_z)
+    def test_opposite_inputs_give_identity(self, i, z):
+        X = _kernel_points()[i]
+        assert group_module._jac_madd(*_jacobian(X, z), X[0], _P - X[1])[2] == 0
 
-    def test_identity_plus_point(self):
-        (X,) = _random_points(1, seed=23)
-        assert group_module._jac_madd(0, 1, 0, *X) == (X[0], X[1], 1)
+    @_kernel_settings
+    @given(i=_point_index, x1=st.integers(0, _P - 1), y1=st.integers(0, _P - 1))
+    @example(i=0, x1=0, y1=1)
+    def test_identity_plus_point(self, i, x1, y1):
+        # Z1 = 0 is the identity whatever X1 and Y1 hold
+        X = _kernel_points()[i]
+        assert group_module._jac_madd(x1, y1, 0, *X) == (X[0], X[1], 1)
 
-    def test_distinct_inputs_match_affine(self):
-        X, Y = _random_points(2, seed=24)
-        assert _to_affine(*group_module._jac_madd(*_jacobian(X, 99), *Y)) == affine_add(X, Y)
+    @_kernel_settings
+    @given(i=_point_index, offset=st.integers(1, 7), z=_z)
+    @example(i=0, offset=1, z=1)
+    def test_distinct_inputs_match_affine(self, i, offset, z):
+        X, Y = _kernel_points()[i], _kernel_points()[(i + offset) % 8]
+        assert _to_affine(*group_module._jac_madd(*_jacobian(X, z), *Y)) == affine_add(X, Y)
+
+
+class TestJacobianDouble:
+    @_kernel_settings
+    @given(i=_point_index, z=_z)
+    @example(i=0, z=1)
+    @example(i=0, z=_P - 1)
+    def test_matches_affine(self, i, z):
+        X = _kernel_points()[i]
+        assert _to_affine(*group_module._jac_double(*_jacobian(X, z))) == affine_add(X, X)
+
+    @_kernel_settings
+    @given(x1=st.integers(0, _P - 1), y1=st.integers(0, _P - 1))
+    @example(x1=0, y1=1)
+    def test_identity_stays_the_identity(self, x1, y1):
+        assert group_module._jac_double(x1, y1, 0)[2] == 0
+
+    def test_129_doublings_match_the_ladder(self):
+        # the length of a first use's doubling chain
+        rng = random.Random(25)
+        for X in _kernel_points()[:2]:
+            acc = _jacobian(X, rng.randrange(1, _P))
+            for _ in range(129):
+                acc = group_module._jac_double(*acc)
+            assert _to_affine(*acc) == ladder_mul(2**129, X)
 
 
 class TestBatchAffine:
