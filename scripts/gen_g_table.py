@@ -2,13 +2,14 @@
 
     python3 scripts/gen_g_table.py [OUT]
 
-OUT defaults to src/hsc/secp256k1_g_w8.bin, the file `hsc.group` loads on
+OUT defaults to src/hsc/secp256k1_g_w10.bin, the file `hsc.group` loads on
 the first k*G.  The width and the row count are `hsc.group`'s `_G_WIDTH`
-(8) and `_G_ROWS` (17), enough for a GLV half of k below 2^129: row i
-holds the affine points j*256^i*G for j = 1..128, each as 32-byte
-big-endian x followed by 32-byte big-endian y, so 2,176 points and
-139,264 bytes.  Both halves of k read these rows; the lambda half maps
-its partial sum by beta.  The rows come from `hsc.group`'s own
+(10) and `_G_ROWS` (13), enough for a GLV half of k below 2^128: row i
+holds the affine points j*1024^i*G for j = 1..512, each as 32-byte
+big-endian x followed by 32-byte big-endian y, so 6,656 points and
+425,984 bytes.  A 64-byte record is the table entry x << 256 | y in
+big-endian order.  Both halves of k read these rows; the lambda half
+maps its partial sum by beta.  The rows come from `hsc.group`'s own
 fixed-window row builder, the one that also builds the tables of
 repeatedly multiplied points.  After changing the table, put the SHA-256
 this script prints into `_G_TABLE_SHA256`.
@@ -31,8 +32,8 @@ DEFAULT_OUT = Path(_G_TABLE_PATH)
 
 
 def build_table() -> bytes:
-    return b"".join(x.to_bytes(32, "big") + y.to_bytes(32, "big")
-                    for x, y in _fixed_window_rows((_GX, _GY), _G_ROWS, _G_WIDTH))
+    return b"".join(v.to_bytes(64, "big")
+                    for v in _fixed_window_rows((_GX, _GY), _G_ROWS, _G_WIDTH))
 
 
 def main(argv: list[str]) -> int:

@@ -12,14 +12,19 @@ table it is promoted to on its second use, by an untimed warm-up before
 each pass; decoding a pool point takes a square root, and decoding
 Ppub's encoding again hits the cache of recent decodes.  On secp256k1
 two more rows time the point kernels themselves, a Jacobian doubling
-and a mixed Jacobian-affine addition.  Operation counts come from scoped
-counters around one invocation of each algorithm -- measured, never
-hardcoded.
+and a mixed Jacobian-affine addition, and two the tables: reading,
+checking and parsing the generator's table file, and building one
+promoted point's table.  Operation counts come from scoped counters
+around one invocation of each algorithm -- measured, never hardcoded.
 
 With `repeat` R > 1 every row is timed in R passes, interleaved (each
 pass times every row once, so a slow stretch of the host falls on all
 rows alike), and each row reports the median of its R pass means and
 their interquartile range next to the mean and median over all samples.
+Before each pass a fixed big-integer task outside hsc is timed, as the
+end-to-end benchmark does between operations; the JSON `meta` records
+those times, so runs made in separate processes, such as a parent and a
+change, can be checked for a host that changed speed between them.
 
 Absolute times are hardware-dependent and not comparable across machines;
 consumers should assert orderings and ratios only.  The machine-readable
@@ -41,7 +46,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .group import OpCounter, Secp256k1Group, _P, _jac_double, _jac_madd
+from .group import (OpCounter, Secp256k1Group, _GLV_ROWS, _GLV_WIDTH, _P,
+                    _fixed_window_rows, _jac_double, _jac_madd, _load_g_table)
 from .keys import (
     ClcKeyPair,
     PkiKeyPair,
@@ -85,6 +91,8 @@ class BenchReport:
     group_name: str
     timings: list[OpTiming] = field(default_factory=list)
     op_counts: dict[str, OpCounter] = field(default_factory=dict)
+    # seconds the host-speed reference took before each pass
+    reference_s: list[float] = field(default_factory=list)
 
     def timing(self, name: str) -> OpTiming:
         for t in self.timings:
@@ -127,6 +135,7 @@ class BenchReport:
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
             "commit": git_commit(Path(__file__).resolve().parent),
+            "reference_s": [round(t, 9) for t in self.reference_s],
         }
         return json.dumps({"meta": meta, "rows": self.rows()}, indent=1) + "\n"
 
@@ -201,11 +210,25 @@ def _time_loop(fn, inputs) -> list[float]:
     return samples
 
 
-def _time_rows(rows, repeat: int, warm) -> list[OpTiming]:
+def _reference_task() -> None:
+    """Fixed big-integer work outside hsc, the kind that dominates it:
+    3000 squarings mod the secp256k1 field prime, the end-to-end
+    benchmark's host-speed reference."""
+    x = 0x1234567890ABCDEF
+    for _ in range(3000):
+        x = x * x % _P
+
+
+def _time_rows(rows, repeat: int, warm) -> tuple[list[OpTiming], list[float]]:
     """Time each (name, fn, inputs) row in `repeat` interleaved passes;
-    warm[name](), where given, runs untimed before each pass of that row."""
+    warm[name](), where given, runs untimed before each pass of that row.
+    Also returns the time of the host-speed reference before each pass."""
     passes = {name: [] for name, _, _ in rows}
+    reference = []
     for _ in range(repeat):
+        t0 = time.perf_counter()
+        _reference_task()
+        reference.append(time.perf_counter() - t0)
         for name, fn, inputs in rows:
             if name in warm:
                 warm[name]()
@@ -223,7 +246,7 @@ def _time_rows(rows, repeat: int, warm) -> list[OpTiming]:
             mean_s=statistics.fmean(every), median_s=statistics.median(every),
             passes=repeat, pass_median_s=statistics.median(means), pass_iqr_s=q3 - q1,
         ))
-    return out
+    return out, reference
 
 
 def bench_run(params: SystemParams, iterations: int = 10000, *,
@@ -236,8 +259,10 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     `rows`, when given, names the primitive rows to time (`scalar_mult`,
     `scalar_mult_fixed`, `scalar_mult_repeat`, `group_add`,
     `hash_to_scalar`, `decode_element`, `decode_element_repeat`, and on
-    secp256k1 `jac_double` and `jac_madd`); the other rows, the
-    algorithm rows and the op counts are then skipped.
+    secp256k1 `jac_double`, `jac_madd`, `load_g_table` and
+    `promotion_build`); the other rows, the algorithm rows and the op
+    counts are then skipped.  The two table rows take milliseconds per
+    call, so like the algorithms they run `algo_iterations` times.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -299,6 +324,13 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
             ("jac_double", _jac_double, [jac[i % len(jac)] for i in range(iterations)]),
             ("jac_madd", _jac_madd,
              [jac[i % len(jac)] + pick(i + 1).value for i in range(iterations)]),
+            # a cold load of the generator's table: every call reads the
+            # file, checks its SHA-256 and parses it, as the first k*P of
+            # a process does
+            ("load_g_table", _load_g_table, [() for _ in range(algo_iterations)]),
+            # the table a point gets on its second multiplication
+            ("promotion_build", _fixed_window_rows,
+             [(pick(i).value, _GLV_ROWS, _GLV_WIDTH) for i in range(algo_iterations)]),
         ]
 
     def warm_ppub():
@@ -312,8 +344,8 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
         unknown = set(rows) - {name for name, _, _ in primitives}
         if unknown:
             raise ValueError(f"unknown bench rows: {', '.join(sorted(unknown))}")
-        report.timings = _time_rows([row for row in primitives if row[0] in rows],
-                                    repeat, warm)
+        report.timings, report.reference_s = _time_rows(
+            [row for row in primitives if row[0] in rows], repeat, warm)
         return report
 
     # key material for the algorithm benchmarks; the bench provisions its
@@ -342,7 +374,7 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
         sigmas = [(sign(m),) for m in algo_msgs]
         timed += [(f"{mode}_signcrypt", sign, [(m,) for m in algo_msgs]),
                   (f"{mode}_unsigncrypt", unsign, sigmas)]
-    report.timings = _time_rows(timed, repeat, warm)
+    report.timings, report.reference_s = _time_rows(timed, repeat, warm)
 
     # measured per-algorithm operation counts, one scoped invocation each
     with group.counting() as c:

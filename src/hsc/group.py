@@ -8,8 +8,8 @@ Two interchangeable instantiations sit behind one interface:
   GLV endomorphism lambda into two ~128-bit halves, k1 + k2*lambda, and
   takes one of three paths:
 
-  * the generator P reads a width-8 signed fixed-window table of 17 rows
-    that ships beside this module: about 32 mixed additions and no
+  * the generator P reads a width-10 signed fixed-window table of 13 rows
+    that ships beside this module: about 26 mixed additions and no
     doublings;
   * any other point, on its first multiplication, recodes both halves as
     width-5 wNAF and runs one shared doubling chain over a table of odd
@@ -18,12 +18,13 @@ Two interchangeable instantiations sit behind one interface:
   * a point multiplied a second time while it is still among the 16 most
     recently multiplied gets a width-7 signed fixed-window table of 19
     rows of its own, built a column at a time with one inversion per
-    column (about 8 ms and 200 KB per point), and from then on costs
+    column (about 8 ms and 125 KB per point), and from then on costs
     about 37 mixed additions, again with no doublings.
 
-  A fixed-window table holds multiples of the point alone: k2's digits
-  are summed first, lambda maps the sum by one multiplication of its X
-  coordinate by beta, and k1's digits are added on top.
+  A fixed-window table holds multiples of the point alone, each affine
+  (x, y) packed into one int, x << 256 | y: k2's digits are summed
+  first, lambda maps the sum by one multiplication of its X coordinate
+  by beta, and k1's digits are added on top.
 
   This is research-grade code; it is NOT constant-time and must not be
   used where side channels matter.
@@ -455,6 +456,9 @@ _B = 7
 
 # affine points are (x, y) tuples; None is the point at infinity
 _INFINITY_ENCODING = b"\x00" * 33
+# a fixed-window table entry packs the affine (x, y) as x << 256 | y, which
+# is also its 64-byte big-endian record in the generator's table file
+_MASK256 = (1 << 256) - 1
 
 
 def _jac_double(X1, Y1, Z1):
@@ -516,6 +520,9 @@ def _jac_to_affine(X, Y, Z):
 # uses.  The other cube root of unity would give a wrong split, so these
 # integer identities are checked here; the point identity for G costs a
 # scalar multiplication in every process and is checked in the tests.
+# The basis has determinant N, so _glv_split's halves are at most
+# (|A1| + |A2|)/2 < 2^127.35 and (|B1| + |B2|)/2 < 2^127.12 in absolute
+# value; the fixed-window tables have rows for halves below 2^128.
 _LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
 _BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
 _A1 = 0x3086D221A7D46BCDE86C90E49284EB15
@@ -523,23 +530,26 @@ _B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
 _A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 _B2 = _A1
 if (_BETA == 1 or pow(_BETA, 3, _P) != 1 or _LAMBDA == 1 or pow(_LAMBDA, 3, _N) != 1
-        or (_A1 + _B1 * _LAMBDA) % _N or (_A2 + _B2 * _LAMBDA) % _N):
+        or (_A1 + _B1 * _LAMBDA) % _N or (_A2 + _B2 * _LAMBDA) % _N
+        or _A1 * _B2 - _A2 * _B1 != _N
+        or max(abs(_A1) + abs(_A2), abs(_B1) + abs(_B2)) >= 2**129):
     raise RuntimeError("inconsistent secp256k1 GLV constants")
 
 _WNAF_WIDTH = 5
 _TABLE_SIZE = 1 << (_WNAF_WIDTH - 2)  # odd multiples 1, 3, ..., 15
-# Ppub and the keys of a few peers, about 8 ms and 200 KB each once
+# Ppub and the keys of a few peers, about 8 ms and 125 KB each once
 # promoted; also the number of recent decodes _decompress keeps
 _TABLE_CACHE_SIZE = 16
 # A promoted point's table has width 7, digits in [-63, 64].  A GLV half
 # h with |h| < 2^129 leaves a value in [-8, 8] after 18 digits (126 bits),
-# one more digit with no carry: 19 rows.
+# one more digit with no carry: 19 rows.  Halves below 2^128, _glv_split's
+# bound, need the 19th row too.
 _GLV_WIDTH = 7
 _GLV_ROWS = 19
 
 
 def _glv_split(k: int) -> tuple[int, int]:
-    """k1, k2 with k = k1 + k2*_LAMBDA (mod N), both below 2^129 in
+    """k1, k2 with k = k1 + k2*_LAMBDA (mod N), both below 2^128 in
     absolute value (Guide to ECC, Algorithm 3.74); either may be
     negative."""
     c1 = (_B2 * k + _N // 2) // _N
@@ -547,21 +557,25 @@ def _glv_split(k: int) -> tuple[int, int]:
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-def _wnaf(k: int) -> list[int]:
-    """Width-5 non-adjacent form of k >= 0, least significant digit
-    first: each digit is 0 or odd in [-15, 15]."""
-    digits = []
+def _wnaf(k: int) -> list[tuple[int, int]]:
+    """The nonzero digits of the width-5 non-adjacent form of k >= 0, as
+    (position, digit) pairs, least significant first: each digit is odd
+    in [-15, 15].  A run of zero digits is skipped in one shift, its
+    length read off the lowest set bit; a digit leaves k - digit
+    divisible by 2^5, so the next 4 digits are 0."""
+    pairs = []
+    pos = 0
     while k:
-        if k & 1:
-            d = k & ((1 << _WNAF_WIDTH) - 1)
-            if d >= 1 << (_WNAF_WIDTH - 1):
-                d -= 1 << _WNAF_WIDTH
-            k -= d
-        else:
-            d = 0
-        digits.append(d)
-        k >>= 1
-    return digits
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        pos += zeros
+        d = k & ((1 << _WNAF_WIDTH) - 1)
+        if d >= 1 << (_WNAF_WIDTH - 1):
+            d -= 1 << _WNAF_WIDTH
+        pairs.append((pos, d))
+        k = (k - d) >> _WNAF_WIDTH
+        pos += _WNAF_WIDTH
+    return pairs
 
 
 def _batch_inverse(values):
@@ -613,13 +627,14 @@ def _odd_multiples(point):
 def _fixed_window_rows(point, rows: int, w: int):
     """Signed fixed window of width w for the affine point X (Guide to
     ECC, 3.3): row i < rows holds the affine points j*2^(w*i)*X for
-    j = 1..2^(w-1), flattened.  One doubling chain gives the row bases
-    B_i = 2^(w*i)*X, made affine with one inversion.  The table is then
-    built by columns, column j holding j*B_i for every row, in affine
-    arithmetic: column 2 doubles every base, and while m columns are
-    done, columns m+1 up to 2m-1 add column m to columns 1 to m-1.  Each
-    such batch of columns shares one inversion (Montgomery's trick), so
-    a width-7 table costs 8 inversions."""
+    j = 1..2^(w-1), flattened, each packed as x << 256 | y.  One doubling
+    chain gives the row bases B_i = 2^(w*i)*X, made affine with one
+    inversion.  The table is then built by columns, column j holding
+    j*B_i for every row, in affine arithmetic: column 2 doubles every
+    base, and while m columns are done, columns m+1 up to 2m-1 add column
+    m to columns 1 to m-1.  Each such batch of columns shares one
+    inversion (Montgomery's trick), so a width-7 table costs 8
+    inversions."""
     p = _P
     half = 1 << (w - 1)
     x, y = point
@@ -652,7 +667,7 @@ def _fixed_window_rows(point, rows: int, w: int):
                 column.append((x3, (s * (x - x3) - y) % p))
             columns.append(column)
     # column-major to the row-major layout _fixed_window_madd reads
-    return tuple(itertools.chain.from_iterable(zip(*columns)))
+    return tuple(x << 256 | y for x, y in itertools.chain.from_iterable(zip(*columns)))
 
 
 def _fixed_window_madd(r, table, k: int, w: int):
@@ -671,11 +686,11 @@ def _fixed_window_madd(r, table, k: int, w: int):
             d -= mask + 1
             k += 1
         if d > 0:
-            x, y = table[row + d - 1]
-            rx, ry, rz = _jac_madd(rx, ry, rz, x, y)
+            v = table[row + d - 1]
+            rx, ry, rz = _jac_madd(rx, ry, rz, v >> 256, v & _MASK256)
         elif d:
-            x, y = table[row - d - 1]
-            rx, ry, rz = _jac_madd(rx, ry, rz, x, _P - y)
+            v = table[row - d - 1]
+            rx, ry, rz = _jac_madd(rx, ry, rz, v >> 256, _P - (v & _MASK256))
         row += half
     return rx, ry, rz
 
@@ -689,10 +704,9 @@ def _mul_wnaf(k: int, tables):
     # half adds the negated point
     adds = [[] for _ in range(max(abs(k1), abs(k2)).bit_length() + 1)]
     for half, tbl in zip((k1, k2), tables):
-        for i, d in enumerate(_wnaf(abs(half))):
-            if d:
-                x, y = tbl[abs(d) >> 1]
-                adds[i].append((x, _P - y) if (d < 0) != (half < 0) else (x, y))
+        for i, d in _wnaf(abs(half)):
+            x, y = tbl[abs(d) >> 1]
+            adds[i].append((x, _P - y) if (d < 0) != (half < 0) else (x, y))
     rx, ry, rz = 0, 1, 0
     for points in reversed(adds):
         if rz:
@@ -769,16 +783,18 @@ def _mul_glv(k: int, point):
     return _mul_fixed(k, table, _GLV_WIDTH)
 
 
-# The generator G has the same kind of table, of width 8, shipped with the
-# package (libsecp256k1 ships one for ecmult_gen).  A GLV half below 2^129
-# leaves a value in [-2, 2] after 16 digits (128 bits), one more digit
-# with no carry: 17 rows.  scripts/gen_g_table.py writes
-# _fixed_window_rows(G, _G_ROWS, _G_WIDTH), as 2,176 big-endian x || y
-# pairs, to the file beside this module.
-_G_WIDTH = 8
-_G_ROWS = 17
-_G_TABLE_PATH = os.path.join(os.path.dirname(__file__), "secp256k1_g_w8.bin")
-_G_TABLE_SHA256 = "629005c32d6375d248c0985ff2307e1648a5ae498c885ea463b99cae97e1e595"
+# The generator G has the same kind of table, of width 10, shipped with the
+# package (libsecp256k1 ships one for ecmult_gen).  Digits lie in
+# [-511, 512].  A GLV half below 2^128 leaves a value in [-256, 256] after
+# 12 digits (120 bits), one more digit with no carry: 13 rows.  A half of
+# -(2^129 - 1) would need a 14th, which is why the GLV bound above is
+# checked at import.  scripts/gen_g_table.py writes
+# _fixed_window_rows(G, _G_ROWS, _G_WIDTH), as 6,656 64-byte big-endian
+# x || y records, to the file beside this module.
+_G_WIDTH = 10
+_G_ROWS = 13
+_G_TABLE_PATH = os.path.join(os.path.dirname(__file__), "secp256k1_g_w10.bin")
+_G_TABLE_SHA256 = "0dd69d80f2ddaf19e80a22b4d7e8083a2a31a9b9ef1af79742e25a51131b3bba"
 _g_table = None  # the parsed table, loaded on the first k*G
 
 
@@ -793,11 +809,10 @@ def _load_g_table():
         raise RuntimeError(f"cannot read the secp256k1 generator table: {exc}") from exc
     if hashlib.sha256(data).hexdigest() != _G_TABLE_SHA256:
         raise RuntimeError(f"{_G_TABLE_PATH} does not match its SHA-256 digest")
-    # one iterator zipped with itself pairs each x with the y after it;
+    # a 64-byte record is the packed entry x << 256 | y in big-endian;
     # "big" is passed because Python 3.10's from_bytes has no default
-    coords = map(int.from_bytes, (c for c, in struct.iter_unpack("32s", data)),
-                 itertools.repeat("big"))
-    table = tuple(zip(coords, coords))
+    table = tuple(map(int.from_bytes, (r for r, in struct.iter_unpack("64s", data)),
+                      itertools.repeat("big")))
     # one assignment of a finished table: threads that race here each
     # parse their own copy, and no thread sees a partial one
     _g_table = table
@@ -838,13 +853,13 @@ class Secp256k1Group(Group):
     and threads, so a peer key decoded again skips the square root;
     rejected encodings are never cached and are checked in full each time.
 
-    Every k*X splits k into k1 + k2*lambda with halves below 2^129
-    (GLV).  k*P for the generator P recodes each half into 17 signed
-    base-256 digits and adds one precomputed affine point per nonzero
+    Every k*X splits k into k1 + k2*lambda with halves below 2^128
+    (GLV).  k*P for the generator P recodes each half into 13 signed
+    base-1024 digits and adds one precomputed affine point per nonzero
     digit with mixed Jacobian-affine additions (madd-2007-bl): first k2's
     digits, then lambda applied to the sum as (beta*X, Y, Z), then k1's,
-    all from one table of multiples of P.  The table (2,176 points,
-    139,264 bytes) is loaded from `secp256k1_g_w8.bin` on the first k*P
+    all from one table of multiples of P.  The table (6,656 points,
+    425,984 bytes) is loaded from `secp256k1_g_w10.bin` on the first k*P
     and checked against a SHA-256 digest; a missing or altered file
     raises RuntimeError.
 
@@ -854,7 +869,7 @@ class Secp256k1Group(Group):
     with one inversion.  The second multiplication of X, if X is still
     among the 16 most recently multiplied points, instead builds a
     19-row signed fixed-window table of width 7 of X (one inversion per
-    column, about 8 ms and 200 KB), which it and every later
+    column, about 8 ms and 125 KB), which it and every later
     multiplication of X read like the generator's: about 37 mixed
     additions and no doublings.  So Ppub and repeated peer keys are
     promoted on their second use, and a point used once, as in a one-shot

@@ -137,7 +137,11 @@ class TestRepeatedPasses:
         for row in timing_rows:
             assert row["passes"] == "3"
             assert float(row["pass_median_s"]) > 0 and float(row["pass_iqr_s"]) >= 0
-        assert json.loads(report.to_json())["rows"][0]["passes"] == 3
+        data = json.loads(report.to_json())
+        assert data["rows"][0]["passes"] == 3
+        # the host-speed reference, timed once before each pass
+        assert len(data["meta"]["reference_s"]) == 3
+        assert all(t > 0 for t in data["meta"]["reference_s"])
 
     @pytest.mark.parametrize("repeat", [0, -1])
     def test_rejects_nonpositive_repeat(self, repeat):
@@ -158,7 +162,8 @@ class TestRepeatedPasses:
 
 
 class TestKernelRows:
-    """secp256k1 adds a row for each point kernel; toy groups have none."""
+    """secp256k1 adds a row for each point kernel and two for its tables;
+    toy groups have none."""
 
     def test_secp256k1_times_the_kernels(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -168,10 +173,13 @@ class TestKernelRows:
                          "--json", "b.json"]) == 0
         rows = [r for r in json.loads((tmp_path / "b.json").read_text())["rows"]
                 if r["record"] == "timing"]
-        assert [r["name"] for r in rows] == \
-            EXPECTED_OPS[:7] + ["jac_double", "jac_madd"] + EXPECTED_OPS[7:]
+        assert [r["name"] for r in rows] == EXPECTED_OPS[:7] + [
+            "jac_double", "jac_madd", "load_g_table", "promotion_build"] + EXPECTED_OPS[7:]
         for row in rows[7:9]:
             assert row["iterations"] == 20 and float(row["mean_s"]) > 0
+        # the table rows run as often as the algorithms: 20 // 100, at least 1
+        for row in rows[9:11]:
+            assert row["iterations"] == 1 and float(row["mean_s"]) > 0
 
     def test_rows_filter_selects_them(self):
         params, _ = keys.setup("secp256k1", rng=random.Random(5))
@@ -182,6 +190,27 @@ class TestKernelRows:
         toy, _ = keys.setup("toy-101", rng=random.Random(5))
         with pytest.raises(ValueError, match="jac_double"):
             bench_run(toy, 8, rows=("jac_double",))
+
+    def test_table_rows_load_and_build_the_tables(self, monkeypatch):
+        params, _ = keys.setup("secp256k1", rng=random.Random(5))
+        calls = {}
+        for name in ("_load_g_table", "_fixed_window_rows"):
+            def spy(*args, fn=getattr(bench, name), name=name):
+                calls.setdefault(name, []).append(args)
+                return fn(*args)
+            monkeypatch.setattr(bench, name, spy)
+        monkeypatch.setattr(group, "_g_table", None)
+        report = bench_run(params, iterations=8, algo_iterations=3, rng=random.Random(6),
+                           rows=("promotion_build", "load_g_table"), repeat=2)
+        assert [(t.name, t.iterations) for t in report.timings] == \
+            [("load_g_table", 3), ("promotion_build", 3)]
+        # every call is a cold load: read, checked and parsed again
+        assert calls["_load_g_table"] == [()] * 6
+        assert len(group._g_table) == group._G_ROWS << (group._G_WIDTH - 1)
+        # a width-7 table of 19 rows of a point other than G
+        builds = calls["_fixed_window_rows"]
+        assert len(builds) == 6
+        assert all(rest == [19, 7] and X != (group._GX, group._GY) for X, *rest in builds)
 
 
 class TestToyGroupKeys:
@@ -259,6 +288,7 @@ class TestJsonReport:
         assert meta["cpu_count"] == os.cpu_count()
         assert meta["python"].count(".") == 2
         assert meta["commit"] is None or len(meta["commit"]) == 40
+        assert len(meta["reference_s"]) == 1 and meta["reference_s"][0] > 0
 
     def test_cli_writes_json(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -562,6 +562,29 @@ def _jacobian(point, z):
     return x * z * z % _P, y * z * z * z % _P, z
 
 
+def _unpack(entry):
+    """The affine (x, y) a fixed-window table entry x << 256 | y packs."""
+    return entry >> 256, entry & ((1 << 256) - 1)
+
+
+def _wnaf_bit_at_a_time(k):
+    """Width-5 NAF of k >= 0 one bit per step, every digit, zeros
+    included, least significant first: the recoder the library used
+    before it skipped runs of zeros."""
+    digits = []
+    while k:
+        if k & 1:
+            d = k & 31
+            if d >= 16:
+                d -= 32
+            k -= d
+        else:
+            d = 0
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
 class TestGlvConstants:
     def test_lambda_acts_as_beta_on_the_generator(self):
         assert ladder_mul(_LAMBDA, _GEN) == (_BETA * _GEN[0] % _P, _GEN[1])
@@ -577,7 +600,8 @@ class TestGlvSplit:
         for k in EDGE_SCALARS + [rng.randrange(_N) for _ in range(1000)]:
             k1, k2 = group_module._glv_split(k)
             assert (k1 + k2 * _LAMBDA - k) % _N == 0
-            assert abs(k1) < 2**129 and abs(k2) < 2**129
+            # G's 13 rows of width 10 cover halves below 2^128 only
+            assert abs(k1) < 2**128 and abs(k2) < 2**128
 
     def test_negative_halves_occur(self):
         assert group_module._glv_split(_N - 1) == (-1, 0)
@@ -589,13 +613,29 @@ class TestGlvSplit:
     def test_wnaf_digits(self):
         rng = random.Random(6)
         for k in [1, 2, 15, 16, 17, 31, 2**128] + [rng.getrandbits(129) for _ in range(200)]:
-            digits = group_module._wnaf(k)
-            assert sum(d << i for i, d in enumerate(digits)) == k
-            nonzero = [i for i, d in enumerate(digits) if d]
-            assert all(d % 2 == 1 and -15 <= d <= 15 for d in digits if d)
+            pairs = group_module._wnaf(k)
+            assert sum(d << i for i, d in pairs) == k
+            assert all(d % 2 == 1 and -15 <= d <= 15 for _, d in pairs)
             # at most one non-zero digit in any five consecutive positions
-            assert all(b - a >= 5 for a, b in zip(nonzero, nonzero[1:]))
-            assert digits[-1] > 0
+            positions = [i for i, _ in pairs]
+            assert all(b - a >= 5 for a, b in zip(positions, positions[1:]))
+            assert pairs[-1][1] > 0
+
+    def test_wnaf_matches_the_bit_at_a_time_recoder(self):
+        rng = random.Random(7)
+        halves = [abs(h) for _ in range(250)
+                  for h in group_module._glv_split(rng.randrange(_N))]
+        for k in [0, 1, 2**128 - 1, _N - 1] + halves:
+            assert group_module._wnaf(k) == \
+                [(i, d) for i, d in enumerate(_wnaf_bit_at_a_time(k)) if d]
+
+    def test_wnaf_chain_matches_the_ladder(self):
+        # the first-use path, which reads the recoder's pairs
+        (X,) = _random_points(1, seed=8)
+        tables = group_module._odd_multiples(X)
+        rng = random.Random(9)
+        for k in [1, 2, 31, 2**128 - 1, _N - 1] + [rng.randrange(1, _N) for _ in range(8)]:
+            assert group_module._mul_wnaf(k, tables) == ladder_mul(k, X)
 
 
 @functools.cache
@@ -669,8 +709,8 @@ class TestJacobianDouble:
 
 
 class TestBatchAffine:
-    # 17: the row bases of G's table
-    @pytest.mark.parametrize("length", [1, 2, 17, 65])
+    # 13: the row bases of G's table; 19: those of a promoted point's
+    @pytest.mark.parametrize("length", [1, 2, 13, 17, 19, 65])
     def test_matches_one_inversion_per_point(self, length):
         rng = random.Random(length)
         chain = [_jacobian(X, rng.randrange(1, _P))
@@ -774,7 +814,7 @@ def _glv_of_generator(k):
 
 
 class TestGeneratorTable:
-    """k*G takes the shipped signed fixed-window table of width 8 over
+    """k*G takes the shipped signed fixed-window table of width 10 over
     both GLV halves; every other point, -G included, takes the GLV path
     through tables of its own."""
 
@@ -784,15 +824,16 @@ class TestGeneratorTable:
         with open(group_module._G_TABLE_PATH, "rb") as f:
             shipped = f.read()
         assert built == shipped
-        assert (group_module._G_WIDTH, group_module._G_ROWS) == (8, 17)
-        assert len(shipped) == 17 * 128 * 64 == 139_264
+        assert (group_module._G_WIDTH, group_module._G_ROWS) == (10, 13)
+        assert len(shipped) == 13 * 512 * 64 == 425_984
         assert hashlib.sha256(shipped).hexdigest() == group_module._G_TABLE_SHA256
 
     def test_file_sits_next_to_the_group_module(self):
-        path = Path(group_module.__file__).with_name("secp256k1_g_w8.bin")
+        path = Path(group_module.__file__).with_name("secp256k1_g_w10.bin")
         assert path.is_file()
         assert Path(group_module._G_TABLE_PATH) == path
-        assert not path.with_name("secp256k1_g_w7.bin").exists()
+        for gone in ("secp256k1_g_w7.bin", "secp256k1_g_w8.bin"):
+            assert not path.with_name(gone).exists()
 
     def test_every_table_file_is_package_data(self):
         tomllib = pytest.importorskip("tomllib")
@@ -801,7 +842,15 @@ class TestGeneratorTable:
             package_data = tomllib.load(f)["tool"]["setuptools"]["package-data"]["hsc"]
         shipped = sorted(path.name for path in (root / "src" / "hsc").glob("*.bin"))
         # package data names every shipped table and no file that is gone
-        assert shipped == sorted(package_data) == ["secp256k1_g_w8.bin"]
+        assert shipped == sorted(package_data) == ["secp256k1_g_w10.bin"]
+
+    def test_every_entry_unpacks_to_a_curve_point(self):
+        table = group_module._g_table or group_module._load_g_table()
+        assert len(table) == 13 * 512
+        for entry in table:
+            x, y = _unpack(entry)
+            assert x < _P and y < _P
+            assert (y * y - x * x * x - 7) % _P == 0
 
     def test_random_scalars_match_glv_and_ladder(self, secp):
         rng = random.Random(61)
@@ -811,16 +860,21 @@ class TestGeneratorTable:
             assert value == _glv_of_generator(k)
             assert value == ladder_mul(k, _GEN)
 
-    def test_17_rows_cover_every_half_below_2_129(self):
+    def test_13_rows_cover_every_half_below_2_128(self):
         table = group_module._g_table or group_module._load_g_table()
-        assert len(table) == 17 * 128
-        for half in (2**129 - 1, -(2**129 - 1), 2**128, -(2**128) - 1, 0):
-            r = group_module._fixed_window_madd((0, 1, 0), table, half, 8)
+        assert len(table) == 13 * 512
+        for half in (2**128 - 1, -(2**128 - 1), 2**127, -(2**127) - 1, 0):
+            r = group_module._fixed_window_madd((0, 1, 0), table, half, 10)
             assert group_module._jac_to_affine(*r) == ladder_mul(half, _GEN)
-        # the 17th digit of a half below 2^129 is at most 2, so no carry
-        # asks for an 18th row
-        assert max(len(_signed_digits(h, 8)) for h in range(2**129 - 40, 2**129)) == 17
-        assert len(_signed_digits(-(2**129 - 1), 8)) == 17
+        # the 13th digit of a half below 2^128 is at most 256, so no carry
+        # asks for a 14th row
+        assert max(len(_signed_digits(h, 10)) for h in range(2**128 - 40, 2**128)) == 13
+        assert len(_signed_digits(-(2**128 - 1), 10)) == 13
+        # a half of -(2^129 - 1) would: _glv_split's bound is what keeps
+        # the 13 rows enough
+        assert len(_signed_digits(-(2**129 - 1), 10)) == 14
+        with pytest.raises(IndexError):
+            group_module._fixed_window_madd((0, 1, 0), table, -(2**129 - 1), 10)
 
     @pytest.mark.parametrize("k", _GEN_TABLE_SCALARS)
     def test_edge_scalars(self, secp, k):
@@ -848,13 +902,13 @@ class TestGeneratorTable:
         secp._mul_value(5, prod.params.Ppub.value)
         assert group_module._g_table is None
         secp._mul_value(5, _GEN)
-        assert len(group_module._g_table) == 17 * 128
+        assert len(group_module._g_table) == 13 * 512
 
     def test_corrupted_table_raises(self, secp, tmp_path, monkeypatch):
         with open(group_module._G_TABLE_PATH, "rb") as f:
             data = bytearray(f.read())
         data[1000] ^= 1
-        corrupt = tmp_path / "secp256k1_g_w8.bin"
+        corrupt = tmp_path / "secp256k1_g_w10.bin"
         corrupt.write_bytes(bytes(data))
         monkeypatch.setattr(group_module, "_G_TABLE_PATH", str(corrupt))
         monkeypatch.setattr(group_module, "_g_table", None)
@@ -922,7 +976,7 @@ class TestPromotedTable:
             multiple = None
             for j in range(1, 65):
                 multiple = affine_add(multiple, base)
-                assert table[64 * i + j - 1] == multiple
+                assert _unpack(table[64 * i + j - 1]) == multiple
 
     def test_long_halves_need_the_last_row(self):
         seen = set()
@@ -953,7 +1007,7 @@ class TestPromotedTable:
         for k in (1, 2, 2**64 + 3, _N - 1, _N - 2**64):
             assert group_module._glv_split(k)[1] == 0
             assert group_module._mul_fixed(k, table, 7) == ladder_mul(k, X)
-            assert group_module._mul_fixed(k, g_table, 8) == ladder_mul(k, _GEN)
+            assert group_module._mul_fixed(k, g_table, 10) == ladder_mul(k, _GEN)
 
     def test_promoted_table_holds_19_rows_of_64_points(self, secp):
         (X,) = _random_points(1, seed=80)
@@ -1074,8 +1128,8 @@ class TestColumnBuilder:
     @pytest.mark.parametrize("w", [5, 6, 7, 8])
     def test_matches_the_row_by_row_builder(self, w):
         for rows, X in zip((1, 2, 4), _random_points(3, seed=90 + w)):
-            assert group_module._fixed_window_rows(X, rows, w) == \
-                _rows_one_at_a_time(X, rows, w)
+            packed = group_module._fixed_window_rows(X, rows, w)
+            assert tuple(map(_unpack, packed)) == _rows_one_at_a_time(X, rows, w)
 
     def test_generator_file_from_either_builder(self):
         with open(group_module._G_TABLE_PATH, "rb") as f:
@@ -1093,16 +1147,17 @@ class TestColumnBuilder:
 
 class TestSignedDigitLoop:
     """_fixed_window_madd at both widths in use against the ladder, over
-    GLV halves of either sign below 2^129: the shipped width-8 table of G
-    and the width-7 rows of a promoted point."""
+    GLV halves of either sign: the shipped width-10 table of G below
+    2^128, _glv_split's bound, and the width-7 rows of a promoted point
+    below 2^129."""
 
     @settings(max_examples=100, deadline=None)
-    @given(half=st.integers(-(2**129) + 1, 2**129 - 1))
-    @example(half=2**129 - 1)
-    @example(half=-(2**129 - 1))
+    @given(half=st.integers(-(2**128) + 1, 2**128 - 1))
+    @example(half=2**128 - 1)
+    @example(half=-(2**128 - 1))
     @example(half=0)
-    @example(half=2**128 - 1)  # carries into the 17th row
-    @example(half=-129 << 120)  # carries into the 17th row, negative
+    @example(half=2**120 - 1)  # carries into the 13th row
+    @example(half=-513 << 110)  # carries into the 13th row, negative
     def test_generator_table(self, half):
         table = group_module._g_table or group_module._load_g_table()
         r = group_module._fixed_window_madd((0, 1, 0), table, half, group_module._G_WIDTH)
