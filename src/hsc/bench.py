@@ -324,10 +324,10 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
             ("jac_double", _jac_double, [jac[i % len(jac)] for i in range(iterations)]),
             ("jac_madd", _jac_madd,
              [jac[i % len(jac)] + pick(i + 1).value for i in range(iterations)]),
-            # a cold load of the generator's table: every call reads the
-            # file, checks its SHA-256 and parses it, as the first k*P of
-            # a process does
-            ("load_g_table", _load_g_table, [() for _ in range(algo_iterations)]),
+            # a cold load of the generator's table past its cache: every
+            # call reads the file, checks its SHA-256 and parses it, as
+            # the first k*P of a process does
+            ("load_g_table", _load_g_table.__wrapped__, [() for _ in range(algo_iterations)]),
             # the table a point gets on its second multiplication
             ("promotion_build", _fixed_window_rows,
              [(pick(i).value, _GLV_ROWS, _GLV_WIDTH) for i in range(algo_iterations)]),

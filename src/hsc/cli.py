@@ -54,12 +54,15 @@ def _read(path: str) -> bytes:
 
 
 def _refuse_existing(force: bool, *paths) -> None:
-    """Raise for the first of the output paths (None for an unused one)
-    that exists, unless force is set; a command with several outputs
-    checks them all before it writes any."""
+    """Raise for output paths (None for an unused one) that name one file,
+    force or not, and for the first that exists, unless force is set; a
+    command with several outputs checks them all before it writes any."""
+    given = [path for path in paths if path is not None]
+    if len({Path(path).resolve() for path in given}) < len(given):
+        raise ValueError(f"outputs {' and '.join(given)} name the same file")
     if not force:
-        for path in paths:
-            if path is not None and Path(path).exists():
+        for path in given:
+            if Path(path).exists():
                 raise FileExistsError(f"{path} exists; pass --force to overwrite")
 
 

@@ -9,12 +9,12 @@ Two interchangeable instantiations sit behind one interface:
   takes one of three paths:
 
   * the generator P reads a width-10 signed fixed-window table of 13 rows
-    that ships beside this module: about 26 mixed additions and no
-    doublings;
+    (6,656 points, 425,984 bytes) that ships beside this module and is
+    loaded on the first k*P: about 26 mixed additions and no doublings;
   * any other point, on its first multiplication, recodes both halves as
-    width-5 wNAF and runs one shared doubling chain over a table of odd
-    multiples of the point, built on an isomorphic curve with one
-    inversion;
+    width-5 wNAF and runs one shared doubling chain of about 129 steps
+    over a table of odd multiples of the point, built on an isomorphic
+    curve with one inversion;
   * a point multiplied a second time while it is still among the 16 most
     recently multiplied gets a width-7 signed fixed-window table of 19
     rows of its own, built a column at a time with one inversion per
@@ -25,6 +25,10 @@ Two interchangeable instantiations sit behind one interface:
   (x, y) packed into one int, x << 256 | y: k2's digits are summed
   first, lambda maps the sum by one multiplication of its X coordinate
   by beta, and k1's digits are added on top.
+
+  The generator's table, the slots of the 16 points multiplied most
+  recently and the points of the 16 most recent decodes are functools
+  caches of the process, which every instance and thread shares.
 
   This is research-grade code; it is NOT constant-time and must not be
   used where side channels matter.
@@ -43,7 +47,6 @@ meanwhile neither add to them nor see them.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import contextvars
 import functools
@@ -52,7 +55,6 @@ import itertools
 import os
 import secrets
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -727,59 +729,29 @@ def _mul_fixed(k: int, table, w: int):
     return _jac_to_affine(*_fixed_window_madd((_BETA * rx % _P, ry, rz), table, k1, w))
 
 
-class _PointTables:
-    """Bounded LRU of the points _mul_glv multiplied, least recent first.
-    A point maps to None after its first multiplication and to its
-    promoted fixed-window table from its second on.  Tables are built
-    outside the lock; the lock guards every change to the map, which the
-    threads of one process share."""
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self._entries: collections.OrderedDict = collections.OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _put(self, point, table) -> None:
-        self._entries[point] = table
-        self._entries.move_to_end(point)
-        if len(self._entries) > self.size:
-            self._entries.popitem(last=False)
-
-    def use(self, point):
-        """Record a multiplication of point: (whether it was in the map,
-        its promoted table or None)."""
-        with self._lock:
-            seen = point in self._entries
-            table = self._entries.get(point)
-            self._put(point, table)
-        return seen, table
-
-    def promote(self, point, table) -> None:
-        with self._lock:
-            self._put(point, table)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-_point_tables = _PointTables(_TABLE_CACHE_SIZE)
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _promotion(point):
+    """The promotion slot of one of the 16 points _mul_glv multiplied
+    most recently, shared by the threads of one process: empty before
+    the point's first multiplication, [None] after it, and [table] once
+    its second built the fixed-window table."""
+    return []
 
 
 def _mul_glv(k: int, point):
     """k*X for 0 < k < N and the affine point X.  The first
     multiplication of X builds its odd multiples (one inversion) and runs
     the wNAF chain; the second, while X is still cached, builds its
-    fixed-window table, which it and every later one read."""
-    seen, table = _point_tables.use(point)
+    fixed-window table, which it and every later one read.  Threads that
+    race may each build a table; list append and item assignment are
+    atomic, and either table is X's."""
+    slot = _promotion(point)
+    if not slot:
+        slot.append(None)
+        return _mul_wnaf(k, _odd_multiples(point))
+    table = slot[0]
     if table is None:
-        if not seen:
-            return _mul_wnaf(k, _odd_multiples(point))
-        table = _fixed_window_rows(point, _GLV_ROWS, _GLV_WIDTH)
-        _point_tables.promote(point, table)
+        table = slot[0] = _fixed_window_rows(point, _GLV_ROWS, _GLV_WIDTH)
     return _mul_fixed(k, table, _GLV_WIDTH)
 
 
@@ -795,13 +767,13 @@ _G_WIDTH = 10
 _G_ROWS = 13
 _G_TABLE_PATH = os.path.join(os.path.dirname(__file__), "secp256k1_g_w10.bin")
 _G_TABLE_SHA256 = "0dd69d80f2ddaf19e80a22b4d7e8083a2a31a9b9ef1af79742e25a51131b3bba"
-_g_table = None  # the parsed table, loaded on the first k*G
 
 
+@functools.cache
 def _load_g_table():
-    """Read, check and parse the generator table; a broken install raises
-    rather than falling back to the general path."""
-    global _g_table
+    """Read, check and parse the generator table on the first k*G; a
+    broken install raises, is not cached and does not fall back to the
+    general path.  Threads that race here each parse their own copy."""
     try:
         with open(_G_TABLE_PATH, "rb") as f:
             data = f.read()
@@ -811,12 +783,8 @@ def _load_g_table():
         raise RuntimeError(f"{_G_TABLE_PATH} does not match its SHA-256 digest")
     # a 64-byte record is the packed entry x << 256 | y in big-endian;
     # "big" is passed because Python 3.10's from_bytes has no default
-    table = tuple(map(int.from_bytes, (r for r, in struct.iter_unpack("64s", data)),
-                      itertools.repeat("big")))
-    # one assignment of a finished table: threads that race here each
-    # parse their own copy, and no thread sees a partial one
-    _g_table = table
-    return table
+    return tuple(map(int.from_bytes, (r for r, in struct.iter_unpack("64s", data)),
+                     itertools.repeat("big")))
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -848,33 +816,22 @@ class Secp256k1Group(Group):
 
     Canonical element encoding is 33 bytes: SEC1 compressed for proper
     points, 33 zero bytes for the identity.  Decoding rejects anything
-    non-canonical instead of normalising it.  The 16 most recently
-    accepted encodings keep their decoded points, shared by all instances
-    and threads, so a peer key decoded again skips the square root;
-    rejected encodings are never cached and are checked in full each time.
+    non-canonical instead of normalising it.
 
-    Every k*X splits k into k1 + k2*lambda with halves below 2^128
-    (GLV).  k*P for the generator P recodes each half into 13 signed
-    base-1024 digits and adds one precomputed affine point per nonzero
-    digit with mixed Jacobian-affine additions (madd-2007-bl): first k2's
-    digits, then lambda applied to the sum as (beta*X, Y, Z), then k1's,
-    all from one table of multiples of P.  The table (6,656 points,
-    425,984 bytes) is loaded from `secp256k1_g_w10.bin` on the first k*P
-    and checked against a SHA-256 digest; a missing or altered file
-    raises RuntimeError.
-
-    The first multiplication of any other point X recodes both halves as
-    width-5 wNAF and runs one doubling chain of about 129 steps for both,
-    adding affine odd multiples of X and of lambda*X from a table built
-    with one inversion.  The second multiplication of X, if X is still
-    among the 16 most recently multiplied points, instead builds a
-    19-row signed fixed-window table of width 7 of X (one inversion per
-    column, about 8 ms and 125 KB), which it and every later
-    multiplication of X read like the generator's: about 37 mixed
-    additions and no doublings.  So Ppub and repeated peer keys are
-    promoted on their second use, and a point used once, as in a one-shot
-    CLI command, never pays the build.  The map of recent points is
-    shared by all instances and threads.
+    Three caches last for the process and are shared by all instances
+    and threads.  The generator's table is read from
+    `secp256k1_g_w10.bin` on the first k*P.  The 16 most recently
+    multiplied points keep their promotion slots, so Ppub and repeated
+    peer keys get a table of their own on their second multiplication,
+    and a point used once, as in a one-shot CLI command, never pays the
+    build.  The 16 most recently accepted encodings keep their decoded
+    points, so a peer key decoded again skips the square root.  Threads
+    that race for a table may each build one, and every copy is equal.
+    Rejected encodings are never cached and are checked in full each
+    time.  A missing table file, or one that does not match its SHA-256
+    digest, raises RuntimeError on the first k*P and again on every
+    later one, since a failed load is not cached.  The module docstring
+    gives the multiplication paths and their costs.
     """
 
     def __init__(self) -> None:
@@ -905,7 +862,7 @@ class Secp256k1Group(Group):
         if xv is None or k == 0:
             return None
         if xv == (_GX, _GY):
-            return _mul_fixed(k, _g_table or _load_g_table(), _G_WIDTH)
+            return _mul_fixed(k, _load_g_table(), _G_WIDTH)
         return _mul_glv(k, xv)
 
     def _encode_value(self, xv) -> bytes:

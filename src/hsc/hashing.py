@@ -2,7 +2,7 @@
 
 H1 binds an identity to its key-issuance commitment, H2 binds a message to
 the ephemeral commitment R1, and H3 derives the XOR keystream from R2.
-All three are a single extendable-output function (SHAKE) under three
+All three are one extendable-output function, SHAKE256, under three
 distinct domain-separation tags, so cross-oracle collisions are impossible
 by construction.  Preimages are length-prefixed where fields are variable
 width, so they parse unambiguously.
@@ -20,11 +20,6 @@ from dataclasses import dataclass
 
 from .group import Group, GroupElement, Scalar
 
-_XOF_ALGORITHMS = {
-    "shake256": hashlib.shake_256,
-    "shake128": hashlib.shake_128,
-}
-
 
 class MessageTooLongError(ValueError):
     """Input exceeds the negotiated maximum message length."""
@@ -32,14 +27,16 @@ class MessageTooLongError(ValueError):
 
 @dataclass(frozen=True)
 class HashConfig:
-    """XOF choice plus the three domain tags; travels inside the public
-    parameters so both parties instantiate identical oracles."""
+    """The XOF's name plus the three domain tags; travels inside the
+    public parameters so both parties instantiate identical oracles.
+    SHAKE256 is the one XOF; its name stays a field because it is bytes
+    of the params file."""
 
     algorithm: str = "shake256"
     domain_tags: tuple[bytes, bytes, bytes] = (b"HSC/H1", b"HSC/H2", b"HSC/H3")
 
     def __post_init__(self) -> None:
-        if self.algorithm not in _XOF_ALGORITHMS:
+        if self.algorithm != "shake256":
             raise ValueError(f"unsupported XOF {self.algorithm!r}")
         if len(set(self.domain_tags)) != 3:
             raise ValueError("domain tags must be pairwise distinct")
@@ -60,7 +57,6 @@ class HashOracles:
         self.group = group
         self.config = config
         self.max_message_bytes = max_message_bytes
-        self._xof = _XOF_ALGORITHMS[config.algorithm]
 
     # preimage builders are exposed so tests can inspect tag separation
 
@@ -85,10 +81,11 @@ class HashOracles:
         # wide reduction, then counter-byte retries until nonzero
         q = self.group.descriptor.q
         wide = 2 * self.group.descriptor.scalar_len
-        value = int.from_bytes(self._xof(preimage).digest(wide), "big") % q
+        value = int.from_bytes(hashlib.shake_256(preimage).digest(wide), "big") % q
         ctr = 0
         while value == 0:
-            value = int.from_bytes(self._xof(preimage + bytes([ctr])).digest(wide), "big") % q
+            retry = preimage + bytes([ctr])
+            value = int.from_bytes(hashlib.shake_256(retry).digest(wide), "big") % q
             ctr += 1
         return Scalar(value, q)
 
@@ -113,4 +110,4 @@ class HashOracles:
                 f"mask of {out_len} bytes exceeds cap {self.max_message_bytes}"
             )
         self.group.count_hash_call()
-        return self._xof(self.h3_preimage(R2)).digest(out_len)
+        return hashlib.shake_256(self.h3_preimage(R2)).digest(out_len)

@@ -63,7 +63,7 @@ class TestRowFilter:
     def test_repeat_row_reads_a_promoted_table(self, table_builds):
         params, _ = keys.setup("secp256k1", rng=random.Random(5))
         builds = table_builds["_fixed_window_rows"]
-        group._point_tables.clear()
+        group._promotion.cache_clear()
         report = bench_run(params, iterations=20, rng=random.Random(6),
                            rows=("scalar_mult_repeat",))
         assert [t.name for t in report.timings] == ["scalar_mult_repeat"]
@@ -88,7 +88,7 @@ class TestRowFilter:
             return samples
 
         monkeypatch.setattr(bench, "_time_loop", spy)
-        group._point_tables.clear()
+        group._promotion.cache_clear()
         bench_run(params, iterations=20, rng=random.Random(6),
                   rows=("scalar_mult", "scalar_mult_repeat"), repeat=3)
         assert timed_builds == []
@@ -194,23 +194,25 @@ class TestKernelRows:
     def test_table_rows_load_and_build_the_tables(self, monkeypatch):
         params, _ = keys.setup("secp256k1", rng=random.Random(5))
         calls = {}
-        for name in ("_load_g_table", "_fixed_window_rows"):
-            def spy(*args, fn=getattr(bench, name), name=name):
-                calls.setdefault(name, []).append(args)
-                return fn(*args)
-            monkeypatch.setattr(bench, name, spy)
-        monkeypatch.setattr(group, "_g_table", None)
+        # load_g_table times the loader behind its cache
+        for name, owner, attr in (("_load_g_table", bench._load_g_table, "__wrapped__"),
+                                  ("_fixed_window_rows", bench, "_fixed_window_rows")):
+            def spy(*args, fn=getattr(owner, attr), name=name):
+                table = fn(*args)
+                calls.setdefault(name, []).append((args, len(table)))
+                return table
+            monkeypatch.setattr(owner, attr, spy)
         report = bench_run(params, iterations=8, algo_iterations=3, rng=random.Random(6),
                            rows=("promotion_build", "load_g_table"), repeat=2)
         assert [(t.name, t.iterations) for t in report.timings] == \
             [("load_g_table", 3), ("promotion_build", 3)]
         # every call is a cold load: read, checked and parsed again
-        assert calls["_load_g_table"] == [()] * 6
-        assert len(group._g_table) == group._G_ROWS << (group._G_WIDTH - 1)
+        assert calls["_load_g_table"] == [((), group._G_ROWS << (group._G_WIDTH - 1))] * 6
         # a width-7 table of 19 rows of a point other than G
         builds = calls["_fixed_window_rows"]
         assert len(builds) == 6
-        assert all(rest == [19, 7] and X != (group._GX, group._GY) for X, *rest in builds)
+        assert all(rest == [19, 7] and X != (group._GX, group._GY) and size == 19 * 64
+                   for (X, *rest), size in builds)
 
 
 class TestToyGroupKeys:

@@ -159,7 +159,7 @@ class TestOneShotBuildsNoPromotedTable:
                        "--in", f"{ws}/oneshot_{mode}.hsc",
                        "--out", f"{ws}/oneshot_{mode}.txt", "--force"]
         for argv in (signcrypt, unsigncrypt):
-            group._point_tables.clear()
+            group._promotion.cache_clear()
             assert cli.main(argv) == 0
         assert builds == []
         # the hook does see a promotion: the same command again in one
@@ -260,6 +260,24 @@ class TestFileHygiene:
         assert result.stderr == "ERROR io: r.json exists; pass --force to overwrite\n"
         assert not (tmp_path / "r.csv").exists()
         assert (tmp_path / "r.json").read_bytes() == b"keep"
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    @pytest.mark.parametrize("command,outputs", [
+        (["setup", "--group", "toy-101"], ["--params", "a.hsc", "--out", "./a.hsc"]),
+        (["bench", "--params", "p.hsc", "--iters", "20"], ["--out", "r", "--json", "r"]),
+    ])
+    def test_two_outputs_naming_one_file_exit_2(self, tmp_path, command, outputs, force):
+        # force or not, one of the two outputs would be lost
+        if command[0] == "bench":
+            run(["setup", "--group", "toy-101", "--params", "p.hsc",
+                 "--out", "m.hsc"], tmp_path)
+        before = sorted(path.name for path in tmp_path.iterdir())
+        result = run(command + outputs + force, tmp_path, expect=2)
+        first, second = outputs[1], outputs[3]
+        assert result.stderr == \
+            f"ERROR usage: outputs {first} and {second} name the same file\n"
+        assert result.stdout == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == before
 
     def test_finalize_identity_mismatch_exits_3(self, workspace):
         result = run(["clc-finalize", "--params", "params.hsc",

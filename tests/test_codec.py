@@ -141,6 +141,13 @@ class TestParamsFile:
         with pytest.raises(HeaderError):
             codec.decode_params(renamed)
 
+    def test_xof_other_than_shake256(self, toy_params):
+        params, _ = toy_params
+        data = codec.encode_params(params)
+        assert data.count(b"shake256") == 1
+        with pytest.raises(CodecError, match="shake128"):
+            codec.decode_params(data.replace(b"shake256", b"shake128"))
+
     def test_trailing_garbage(self, prod):
         with pytest.raises(CodecError):
             codec.decode_params(codec.encode_params(prod.params) + b"\x00")

@@ -727,19 +727,19 @@ class TestOddMultiplesTable:
             assert list(table_lambda) == [ladder_mul(m * _LAMBDA, X) for m in range(1, 16, 2)]
 
     def test_cache_is_bounded_and_hit(self, secp, table_builds):
-        cache = group_module._point_tables
-        assert cache.size == 16
-        cache.clear()
+        cache = group_module._promotion
+        assert cache.cache_info().maxsize == 16
+        cache.cache_clear()
         X = 7 * secp.generator()  # 7*G takes the generator's shipped table
         for k in (3, 5, 7):
             k * X
         # X: odd multiples on the first use, its own table on the second,
         # a hit on the third
         assert table_builds == {"_odd_multiples": [X.value], "_fixed_window_rows": [X.value]}
-        assert len(cache) == 1
+        assert cache.cache_info().currsize == 1
         for Y in _random_points(20, seed=32):
             5 * GroupElement(secp, Y)
-        assert len(cache) == 16
+        assert cache.cache_info().currsize == 16
 
 
 class TestGlvAgainstLadder:
@@ -754,7 +754,7 @@ class TestGlvAgainstLadder:
             for _ in range(4):
                 k = rng.randrange(_N)
                 expected = ladder_mul(k, X)
-                group_module._point_tables.clear()
+                group_module._promotion.cache_clear()
                 assert secp._mul_value(k, X) == expected  # cold: odd multiples
                 assert secp._mul_value(k, X) == expected  # warm: promoted table
 
@@ -779,7 +779,7 @@ class TestGlvAgainstLadder:
             start.wait(timeout=10)
             results[slot] = [secp._mul_value(k, X) for k, X in work[slot]]
 
-        group_module._point_tables.clear()
+        group_module._promotion.cache_clear()
         _run_concurrently(run, [(0,), (1,)])
         assert results == expected
 
@@ -845,7 +845,7 @@ class TestGeneratorTable:
         assert shipped == sorted(package_data) == ["secp256k1_g_w10.bin"]
 
     def test_every_entry_unpacks_to_a_curve_point(self):
-        table = group_module._g_table or group_module._load_g_table()
+        table = group_module._load_g_table()
         assert len(table) == 13 * 512
         for entry in table:
             x, y = _unpack(entry)
@@ -861,7 +861,7 @@ class TestGeneratorTable:
             assert value == ladder_mul(k, _GEN)
 
     def test_13_rows_cover_every_half_below_2_128(self):
-        table = group_module._g_table or group_module._load_g_table()
+        table = group_module._load_g_table()
         assert len(table) == 13 * 512
         for half in (2**128 - 1, -(2**128 - 1), 2**127, -(2**127) - 1, 0):
             r = group_module._fixed_window_madd((0, 1, 0), table, half, 10)
@@ -883,26 +883,29 @@ class TestGeneratorTable:
         assert value == ladder_mul(k, _GEN)
 
     def test_generator_and_its_negation(self, secp):
-        cache = group_module._point_tables
+        cache = group_module._promotion
         rng = random.Random(62)
         neg_gen = (_GEN[0], _P - _GEN[1])
         for _ in range(20):
             k = rng.randrange(1, _N)
-            cache.clear()
+            cache.cache_clear()
             kG = secp._mul_value(k, _GEN)
-            assert len(cache) == 0  # no GLV entry for G
+            assert cache.cache_info().currsize == 0  # no GLV entry for G
             k_neg_gen = secp._mul_value(k, neg_gen)
-            assert len(cache) == 1  # -G takes the GLV path
+            assert cache.cache_info().currsize == 1  # -G takes the GLV path
             assert k_neg_gen == ladder_mul(k, neg_gen) == (kG[0], _P - kG[1])
 
-    def test_only_the_generator_loads_the_table(self, secp, prod, monkeypatch):
-        monkeypatch.setattr(group_module, "_g_table", None)
+    def test_only_the_generator_loads_the_table(self, secp, prod):
+        load = group_module._load_g_table
+        load.cache_clear()
         (X,) = _random_points(1, seed=63)
         secp._mul_value(5, X)
         secp._mul_value(5, prod.params.Ppub.value)
-        assert group_module._g_table is None
+        assert load.cache_info().currsize == 0
         secp._mul_value(5, _GEN)
-        assert len(group_module._g_table) == 13 * 512
+        secp._mul_value(7, _GEN)
+        assert (load.cache_info().misses, load.cache_info().hits) == (1, 1)
+        assert len(load()) == 13 * 512
 
     def test_corrupted_table_raises(self, secp, tmp_path, monkeypatch):
         with open(group_module._G_TABLE_PATH, "rb") as f:
@@ -911,19 +914,23 @@ class TestGeneratorTable:
         corrupt = tmp_path / "secp256k1_g_w10.bin"
         corrupt.write_bytes(bytes(data))
         monkeypatch.setattr(group_module, "_G_TABLE_PATH", str(corrupt))
-        monkeypatch.setattr(group_module, "_g_table", None)
-        with pytest.raises(RuntimeError, match="SHA-256"):
-            5 * secp.generator()
-        assert group_module._g_table is None
+        group_module._load_g_table.cache_clear()
+        # a failed load is not cached: every k*G checks the file again
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="SHA-256"):
+                5 * secp.generator()
+        assert group_module._load_g_table.cache_info().currsize == 0
 
     def test_missing_table_raises(self, secp, tmp_path, monkeypatch):
         monkeypatch.setattr(group_module, "_G_TABLE_PATH", str(tmp_path / "absent.bin"))
-        monkeypatch.setattr(group_module, "_g_table", None)
-        with pytest.raises(RuntimeError, match="cannot read"):
-            5 * secp.generator()
+        group_module._load_g_table.cache_clear()
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="cannot read"):
+                5 * secp.generator()
+        assert group_module._load_g_table.cache_info().currsize == 0
 
-    def test_threads_load_a_cold_table(self, secp, monkeypatch):
-        monkeypatch.setattr(group_module, "_g_table", None)
+    def test_threads_load_a_cold_table(self, secp):
+        group_module._load_g_table.cache_clear()
         rng = random.Random(64)
         work = [[rng.randrange(_N) for _ in range(5)] for _ in range(2)]
         expected = [[ladder_mul(k, _GEN) for k in jobs] for jobs in work]
@@ -936,6 +943,7 @@ class TestGeneratorTable:
 
         _run_concurrently(run, [(0,), (1,)])
         assert results == expected
+        assert group_module._load_g_table.cache_info().currsize == 1
 
 
 # scalars with GLV halves of 127 and 128 bits, of both signs and indices
@@ -1003,7 +1011,7 @@ class TestPromotedTable:
     def test_a_zero_k2_half_adds_only_k1(self, secp):
         # k2 = 0 leaves the identity for _LAMBDA to map: (0, 1, 0) again
         X, table = _promoted_table()
-        g_table = group_module._g_table or group_module._load_g_table()
+        g_table = group_module._load_g_table()
         for k in (1, 2, 2**64 + 3, _N - 1, _N - 2**64):
             assert group_module._glv_split(k)[1] == 0
             assert group_module._mul_fixed(k, table, 7) == ladder_mul(k, X)
@@ -1011,11 +1019,11 @@ class TestPromotedTable:
 
     def test_promoted_table_holds_19_rows_of_64_points(self, secp):
         (X,) = _random_points(1, seed=80)
-        group_module._point_tables.clear()
+        group_module._promotion.cache_clear()
         for k in (3, 5):
             secp._mul_value(k, X)
         # one table, with no stored copy for _LAMBDA*X
-        table = group_module._point_tables._entries[X]
+        (table,) = group_module._promotion(X)
         assert len(table) == 19 * 64
         assert table == group_module._fixed_window_rows(X, 19, 7)
 
@@ -1025,7 +1033,7 @@ class TestPromotedTable:
         for X in self._bases(prod):
             for k in scalars:
                 expected = ladder_mul(k, X)
-                group_module._point_tables.clear()
+                group_module._promotion.cache_clear()
                 # odd multiples, then the promotion, then the promoted table
                 for _ in range(3):
                     assert secp._mul_value(k, X) == expected
@@ -1033,7 +1041,7 @@ class TestPromotedTable:
     def test_promoted_once_on_the_second_use(self, secp, table_builds):
         X, Y = _random_points(2, seed=75)
         builds = table_builds
-        group_module._point_tables.clear()
+        group_module._promotion.cache_clear()
         secp._mul_value(3, X)
         secp._mul_value(5, Y)
         assert builds == {"_odd_multiples": [X, Y], "_fixed_window_rows": []}
@@ -1047,13 +1055,13 @@ class TestPromotedTable:
     def test_cache_never_holds_more_than_16_points(self, secp, table_builds):
         points = _random_points(20, seed=76)
         builds = table_builds
-        cache = group_module._point_tables
-        cache.clear()
+        cache = group_module._promotion
+        cache.cache_clear()
         for X in points:
             for k in (3, 5):
                 secp._mul_value(k, X)
-            assert len(cache) <= 16
-        assert len(cache) == 16
+            assert cache.cache_info().currsize <= 16
+        assert cache.cache_info().currsize == 16
         assert builds["_fixed_window_rows"] == points
         # the least recently used four left the cache: their next use is a
         # first use again, while a cached point builds nothing
@@ -1064,8 +1072,8 @@ class TestPromotedTable:
 
     def test_least_recently_used_point_leaves_first(self, secp, table_builds):
         points = _random_points(17, seed=79)
-        cache = group_module._point_tables
-        cache.clear()
+        cache = group_module._promotion
+        cache.cache_clear()
         for X in points[:16]:
             secp._mul_value(3, X)
         secp._mul_value(5, points[0])  # promoted, and now the most recent
@@ -1090,7 +1098,7 @@ class TestPromotedTable:
             start.wait(timeout=10)
             results[slot] = [secp._mul_value(k, X) for k, X in work[slot]]
 
-        group_module._point_tables.clear()
+        group_module._promotion.cache_clear()
         _run_concurrently(run, [(slot,) for slot in range(len(work))])
         assert results == expected
         # every point ended promoted: one more use of each builds nothing
@@ -1099,6 +1107,35 @@ class TestPromotedTable:
         for X in points:
             assert secp._mul_value(11, X) == ladder_mul(11, X)
         assert table_builds == {"_odd_multiples": [], "_fixed_window_rows": []}
+
+    def test_threads_race_evictions_and_promotions(self, secp, table_builds):
+        # 20 points, more than the 16 entries of the cache of recent points
+        # and of recent decodes: each thread decodes and multiplies every
+        # point twice in a row, starting 5 points after the thread before
+        points = _random_points(20, seed=81)
+        encoded = [secp.encode_element(GroupElement(secp, X)) for X in points]
+        rng = random.Random(82)
+        scalars = [[rng.randrange(1, _N) for _ in range(2)] for _ in points]
+        products = [[ladder_mul(k, X) for k in pair] for X, pair in zip(points, scalars)]
+        # (point, use) jobs; every thread multiplies a point by the same two scalars
+        work = [[((i + 5 * slot) % 20, use) for i in range(20) for use in range(2)]
+                for slot in range(4)]
+        expected = [[products[i][use] for i, use in jobs] for jobs in work]
+        results = [None] * len(work)
+        start = threading.Barrier(len(work))
+
+        def run(slot):
+            start.wait(timeout=10)
+            results[slot] = [(scalars[i][use] * secp.decode_element(encoded[i])).value
+                             for i, use in work[slot]]
+
+        group_module._decompress.cache_clear()
+        group_module._promotion.cache_clear()
+        _run_concurrently(run, [(slot,) for slot in range(len(work))])
+        assert results == expected
+        assert group_module._promotion.cache_info().currsize == 16
+        assert group_module._decompress.cache_info().currsize == 16
+        assert table_builds["_fixed_window_rows"]
 
 
 def _rows_one_at_a_time(point, rows, w):
@@ -1159,7 +1196,7 @@ class TestSignedDigitLoop:
     @example(half=2**120 - 1)  # carries into the 13th row
     @example(half=-513 << 110)  # carries into the 13th row, negative
     def test_generator_table(self, half):
-        table = group_module._g_table or group_module._load_g_table()
+        table = group_module._load_g_table()
         r = group_module._fixed_window_madd((0, 1, 0), table, half, group_module._G_WIDTH)
         assert group_module._jac_to_affine(*r) == ladder_mul(half, _GEN)
 

@@ -1,6 +1,8 @@
 """Oracle layer: determinism, domain separation, hash-to-scalar range,
 the XOF prefix property, and the scripted stand-in."""
 
+import hashlib
+
 import pytest
 
 from hsc.group import ToyGroup
@@ -51,8 +53,9 @@ class TestDomainSeparation:
             HashConfig(domain_tags=(b"x", b"x", b"y"))
 
     def test_config_rejects_unknown_xof(self):
-        with pytest.raises(ValueError):
-            HashConfig(algorithm="md5")
+        for algorithm in ("md5", "shake128"):
+            with pytest.raises(ValueError):
+                HashConfig(algorithm=algorithm)
 
 
 class TestBitSensitivity:
@@ -101,7 +104,7 @@ class TestHashToScalar:
         for i in range(10_000):
             identity = b"retry-%d" % i
             pre = oracles.h1_preimage(identity, T)
-            if int.from_bytes(oracles._xof(pre).digest(wide), "big") % 13 == 0:
+            if int.from_bytes(hashlib.shake_256(pre).digest(wide), "big") % 13 == 0:
                 break
         else:
             raise AssertionError("no zero-reduction input found")

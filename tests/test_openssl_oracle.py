@@ -139,7 +139,7 @@ class TestMultiplyAgainstOpenSSL:
             j = rng.randrange(1, _N)
             X = secp.decode_element(_openssl_encoding(j))
             expected = _openssl_mul_g(k * j % _N)
-            group_module._point_tables.clear()
+            group_module._promotion.cache_clear()
             # the odd-multiples path, then the promotion, then the table
             for call in ("first use", "promotion", "warm"):
                 assert (k * X).value == expected, (call, hex(k))
