@@ -37,7 +37,7 @@ from .group import (
     ToyGroup,
     make_group,
 )
-from .hashing import HashConfig, HashOracles
+from .hashing import HashOracles
 from .keys import (
     ClcKeyPair,
     ClcPartialKey,
@@ -68,7 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GroupDescriptor", "GroupElement", "OpCounter", "Scalar",
     "Secp256k1Group", "ToyGroup", "make_group",
-    "HashConfig", "HashOracles",
+    "HashOracles",
     "ClcKeyPair", "ClcPartialKey", "ClcPublicKey", "MasterKey",
     "PkiKeyPair", "SystemParams",
     "clc_extract_partial", "clc_finalize", "clc_finalize_random", "clc_keygen",

@@ -13,6 +13,12 @@ so the payload beyond the direction tag is exactly scalar_len +
 element_len + |m| bytes.  Decoders validate rather than normalise:
 a scalar >= q or an off-group element is an error, not a warning.
 
+The params file carries two parts the scheme fixes: the security
+parameter l (2 bytes, always the bit length of q) and a trailer naming
+the hash oracles (SHAKE256 and the three domain tags of hsc.hashing).
+Both are written as fixed bytes, and a file whose l or trailer differs
+is refused on decode.
+
 Frames for the demo protocol are type_tag(1) || length(4) || payload,
 with a 1 MiB payload cap.  All decoders raise CodecError subclasses
 (never IndexError and friends) on arbitrary input.
@@ -24,7 +30,7 @@ import enum
 from dataclasses import dataclass
 
 from .group import GroupElement, make_group
-from .hashing import HashConfig
+from .hashing import DOMAIN_TAGS, XOF_NAME
 from .keys import (
     ClcKeyPair,
     ClcPartialKey,
@@ -199,23 +205,8 @@ def decode_ciphertext(data: bytes, params: SystemParams) -> Ciphertext:
 # -- system parameters --------------------------------------------------------
 
 
-def _encode_hash_config(config: HashConfig) -> bytes:
-    out = _prefixed(config.algorithm.encode("ascii"))
-    for tag in config.domain_tags:
-        out += _prefixed(tag)
-    return out
-
-
-def _decode_hash_config(r: _Reader) -> HashConfig:
-    try:
-        algorithm = r.take_prefixed().decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise CodecError("hash algorithm name is not ascii") from exc
-    tags = tuple(r.take_prefixed() for _ in range(3))
-    try:
-        return HashConfig(algorithm=algorithm, domain_tags=tags)
-    except ValueError as exc:
-        raise CodecError(str(exc)) from exc
+# the params file's trailer: the XOF's name, then its three domain tags
+_ORACLE_FIELDS = (XOF_NAME.encode("ascii"), *DOMAIN_TAGS)
 
 
 def encode_params(params: SystemParams) -> bytes:
@@ -223,11 +214,11 @@ def encode_params(params: SystemParams) -> bytes:
     return (
         _header(FileKind.PARAMS, g.descriptor.name)
         + params.n.to_bytes(4, "big")
-        + params.l.to_bytes(2, "big")
+        + g.descriptor.q.bit_length().to_bytes(2, "big")
         + g.descriptor.q.to_bytes(g.descriptor.scalar_len, "big")
         + g.encode_element(params.P)
         + g.encode_element(params.Ppub)
-        + _encode_hash_config(params.hash)
+        + b"".join(map(_prefixed, _ORACLE_FIELDS))
     )
 
 
@@ -243,15 +234,19 @@ def decode_params(data: bytes) -> SystemParams:
     q = r.take_int(group.descriptor.scalar_len)
     if q != group.descriptor.q:
         raise HeaderError(f"order in file does not match group {name!r}")
+    if l != q.bit_length():
+        raise CodecError(f"security parameter l is {l}, not the {q.bit_length()} bits of q")
     P = group.decode_element(r.take(group.descriptor.element_len))
     Ppub = group.decode_element(r.take(group.descriptor.element_len))
-    hash_config = _decode_hash_config(r)
+    oracles = tuple(r.take_prefixed() for _ in _ORACLE_FIELDS)
+    if oracles != _ORACLE_FIELDS:
+        raise CodecError(f"params name the oracles {oracles}, not {_ORACLE_FIELDS}")
     r.finish()
     if P.is_identity():
         raise CodecError("generator must not be the identity")
     if n <= 0:
         raise CodecError("message cap n must be positive")
-    return SystemParams(group=group, P=P, Ppub=Ppub, n=n, l=l, hash=hash_config)
+    return SystemParams(group=group, P=P, Ppub=Ppub, n=n)
 
 
 # -- key files ------------------------------------------------------------------

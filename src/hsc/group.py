@@ -629,31 +629,31 @@ def _odd_multiples(point):
 def _fixed_window_rows(point, rows: int, w: int):
     """Signed fixed window of width w for the affine point X (Guide to
     ECC, 3.3): row i < rows holds the affine points j*2^(w*i)*X for
-    j = 1..2^(w-1), flattened, each packed as x << 256 | y.  One doubling
-    chain gives the row bases B_i = 2^(w*i)*X, made affine with one
-    inversion.  The table is then built by columns, column j holding
-    j*B_i for every row, in affine arithmetic: column 2 doubles every
-    base, and while m columns are done, columns m+1 up to 2m-1 add column
-    m to columns 1 to m-1.  Each such batch of columns shares one
-    inversion (Montgomery's trick), so a width-7 table costs 8
+    j = 1..2^(w-1), flattened, each packed as x << 256 | y.  One Jacobian
+    doubling chain gives the row bases B_i = 2^(w*i)*X and, as its first
+    step from each, the doubles 2*B_i; both are made affine with one
+    inversion, and they are the table's first two columns, column j
+    holding j*B_i for every row.  The other columns are built in affine
+    arithmetic: while m columns are done, columns m+1 up to 2m-1 add
+    column m to columns 1 to m-1.  Each such batch of columns shares one
+    inversion (Montgomery's trick), so a width-7 table costs 7
     inversions."""
     p = _P
     half = 1 << (w - 1)
     x, y = point
-    acc = (x, y, 1)
-    chain = [acc]
-    for _ in range(rows - 1):
-        for _ in range(w):
+    # no Z is 0: X has prime order, so no multiple 2^j*X is the identity
+    bases = [(x, y, 1)]
+    doubles = []
+    while True:
+        acc = _jac_double(*bases[-1])
+        doubles.append(acc)
+        if len(bases) == rows:
+            break
+        for _ in range(w - 1):
             acc = _jac_double(*acc)
-        chain.append(acc)
-    bases = _batch_affine(chain)
-    # 2*B_i: slope 3x^2 / 2y, never 0 / 0 on a curve with no point of order 2
-    column = []
-    for (x, y), inv in zip(bases, _batch_inverse([2 * y for _, y in bases])):
-        s = 3 * x * x * inv % p
-        x3 = (s * s - 2 * x) % p
-        column.append((x3, (s * (x - x3) - y) % p))
-    columns = [bases, column]
+        bases.append(acc)
+    affine = _batch_affine(bases + doubles)
+    columns = [affine[:rows], affine[rows:]]
     while len(columns) < half:
         # (m+j)*B_i = j*B_i + m*B_i; j*B_i and m*B_i share no x, since
         # 0 < j < m and j + m <= 2^(w-1) < N, with N prime

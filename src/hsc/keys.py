@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from .group import Group, GroupElement, Scalar, make_group
-from .hashing import HashConfig, HashOracles
+from .hashing import HashOracles
 
 DEFAULT_MESSAGE_BITS = 8192
 
@@ -40,11 +40,13 @@ class DegenerateKeyError(ValueError):
 @dataclass
 class SystemParams:
     """Public parameters: the group, its generator P, the KGC public key
-    Ppub, the message cap n (bits), the security parameter l (bits), and
-    the hash configuration.  Immutable by convention once published.
+    Ppub and the message cap n (bits).  Immutable by convention once
+    published.
 
-    No computation reads `l`.  It stays because it is 2 bytes of the
-    params file; dropping it needs a codec `FORMAT_VERSION` bump.
+    The security parameter l (the bit length of the group order) and the
+    oracles' XOF and domain tags are fixed by the scheme, so they are
+    not fields.  The params file still holds them, as fixed bytes that
+    :mod:`hsc.codec` writes and checks on decode.
 
     `oracles`, built on first use, is the one place the algorithms get
     H1-H3 from; assigning an object with the same h1/h2/h3 methods
@@ -54,12 +56,10 @@ class SystemParams:
     P: GroupElement
     Ppub: GroupElement
     n: int
-    l: int
-    hash: HashConfig
 
     @cached_property
     def oracles(self) -> HashOracles:
-        return HashOracles(self.group, self.hash, self.max_message_bytes)
+        return HashOracles(self.group)
 
     @property
     def max_message_bytes(self) -> int:
@@ -117,36 +117,22 @@ class ClcKeyPair:
 def setup(
     group: Union[Group, str],
     n: int = DEFAULT_MESSAGE_BITS,
-    l: Optional[int] = None,
     rng=None,
-    hash_config: Optional[HashConfig] = None,
 ) -> tuple[SystemParams, MasterKey]:
     """Create system parameters and the KGC master key.
 
     `group` is a Group instance or a registered name.  `n` caps message
-    length in bits; `l` defaults to the bit length of the group order.
+    length in bits.
     """
     if isinstance(group, str):
         group = make_group(group)
-    if l is None:
-        l = group.descriptor.q.bit_length()
-    # the widths of the params file's n and l fields
+    # the width of the params file's n field
     if not 0 < n < 2**32:
         raise ValueError(f"message cap n must be in 1..{2**32 - 1}, got {n}")
-    if not 0 <= l < 2**16:
-        raise ValueError(f"security parameter l must be in 0..{2**16 - 1}, got {l}")
     s = group.random_scalar(rng)
     P = group.generator()
     Ppub = s * P
-    params = SystemParams(
-        group=group,
-        P=P,
-        Ppub=Ppub,
-        n=n,
-        l=l,
-        hash=hash_config or HashConfig(),
-    )
-    return params, MasterKey(s=s)
+    return SystemParams(group=group, P=P, Ppub=Ppub, n=n), MasterKey(s=s)
 
 
 def pki_keygen(params: SystemParams, rng=None) -> PkiKeyPair:

@@ -94,6 +94,28 @@ class TestRowFilter:
         assert timed_builds == []
         assert builds == [params.Ppub.value] * 3
 
+    def test_pool_rows_miss_the_caches_at_few_iterations(self, table_builds, monkeypatch):
+        # with fewer iterations than the 16 entries of the caches of
+        # recent points and decodes, every timed call of the pool rows
+        # must still be a first use and a square root
+        params, _ = keys.setup("secp256k1", rng=random.Random(5))
+        builds = table_builds["_fixed_window_rows"]
+        timed_builds, timed_hits = [], []
+        time_loop = bench._time_loop
+
+        def spy(fn, inputs):
+            before, hits = len(builds), group._decompress.cache_info().hits
+            samples = time_loop(fn, inputs)
+            timed_builds.extend(builds[before:])
+            timed_hits.append(group._decompress.cache_info().hits - hits)
+            return samples
+
+        monkeypatch.setattr(bench, "_time_loop", spy)
+        bench_run(params, iterations=10, rng=random.Random(6),
+                  rows=("scalar_mult", "decode_element"), repeat=3)
+        assert timed_builds == []
+        assert timed_hits == [0] * 6
+
     def test_unknown_row_raises(self):
         params, _ = keys.setup("toy-13", rng=random.Random(1))
         with pytest.raises(ValueError, match="keygen"):

@@ -30,6 +30,19 @@ from hsc.group import (
 from hsc.signcryption import Ciphertext, Direction, pchs_signcrypt
 
 
+TAGS = (b"HSC/H1", b"HSC/H2", b"HSC/H3")
+
+
+def _oracle_trailer(*fields):
+    """A params file's trailer: each field with its 4-byte length."""
+    return b"".join(len(f).to_bytes(4, "big") + f for f in fields)
+
+
+def _with_trailer(data, trailer):
+    """The params file `data` with its oracle trailer replaced."""
+    return data[:-len(_oracle_trailer(b"shake256", *TAGS))] + trailer
+
+
 @pytest.fixture(scope="module")
 def toy_params():
     params, master = keys.setup("toy-13", n=32, rng=random.Random(5))
@@ -105,8 +118,8 @@ class TestParamsFile:
         assert back.group.descriptor == prod.params.group.descriptor
         assert back.P == back.group.generator()
         assert back.Ppub.value == prod.params.Ppub.value
-        assert (back.n, back.l, back.hash) == \
-            (prod.params.n, prod.params.l, prod.params.hash)
+        assert back.n == prod.params.n
+        assert codec.encode_params(back) == codec.encode_params(prod.params)
 
     def test_roundtrip_toy(self, toy_params):
         params, _ = toy_params
@@ -144,9 +157,27 @@ class TestParamsFile:
     def test_xof_other_than_shake256(self, toy_params):
         params, _ = toy_params
         data = codec.encode_params(params)
-        assert data.count(b"shake256") == 1
-        with pytest.raises(CodecError, match="shake128"):
-            codec.decode_params(data.replace(b"shake256", b"shake128"))
+        assert data.endswith(_oracle_trailer(b"shake256", *TAGS))
+        for xof in (b"shake128", b"md5"):
+            with pytest.raises(CodecError, match=xof.decode()):
+                codec.decode_params(_with_trailer(data, _oracle_trailer(xof, *TAGS)))
+
+    def test_domain_tags_other_than_the_schemes(self, toy_params):
+        # duplicate tags, and distinct tags that are not the scheme's
+        params, _ = toy_params
+        data = codec.encode_params(params)
+        for tags in ((TAGS[0], TAGS[0], TAGS[2]), (b"XYZ/H1", b"XYZ/H2", b"XYZ/H3")):
+            with pytest.raises(CodecError):
+                codec.decode_params(_with_trailer(data, _oracle_trailer(b"shake256", *tags)))
+
+    def test_security_parameter_other_than_the_order_bits(self, toy_params):
+        # header (13 bytes for toy-13), n (4), then l (2): 4, the bits of 13
+        params, _ = toy_params
+        data = codec.encode_params(params)
+        assert data[17:19] == (4).to_bytes(2, "big")
+        for l in (0, 3, 5, 256, 2**16 - 1):
+            with pytest.raises(CodecError, match="security parameter"):
+                codec.decode_params(data[:17] + l.to_bytes(2, "big") + data[19:])
 
     def test_trailing_garbage(self, prod):
         with pytest.raises(CodecError):

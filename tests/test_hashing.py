@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 from hsc.group import ToyGroup
-from hsc.hashing import HashConfig, HashOracles, MessageTooLongError
+from hsc.hashing import DOMAIN_TAGS, HashOracles
 
 from conftest import UnscriptedQueryError
 
@@ -19,7 +19,7 @@ def prod_oracles(prod):
 @pytest.fixture
 def toy_oracles():
     toy = ToyGroup(13)
-    return toy, HashOracles(toy, HashConfig(), max_message_bytes=4)
+    return toy, HashOracles(toy)
 
 
 class TestDeterminism:
@@ -36,26 +36,16 @@ class TestDeterminism:
 
 class TestDomainSeparation:
     def test_preimages_carry_distinct_tags(self, prod, prod_oracles):
-        cfg = prod.params.hash
         T = prod.bob.T
         payload = b"payload"
         p1 = prod_oracles.h1_preimage(payload, T)
         p2 = prod_oracles.h2_preimage(payload, T)
-        assert p1.startswith(cfg.domain_tags[0])
-        assert p2.startswith(cfg.domain_tags[1])
-        assert prod_oracles.h3_preimage(T).startswith(cfg.domain_tags[2])
+        assert p1.startswith(DOMAIN_TAGS[0])
+        assert p2.startswith(DOMAIN_TAGS[1])
+        assert prod_oracles.h3_preimage(T).startswith(DOMAIN_TAGS[2])
         # identical payloads, different tags, different outputs
         assert p1 != p2
         assert prod_oracles.h1(payload, T) != prod_oracles.h2(payload, T)
-
-    def test_config_rejects_duplicate_tags(self):
-        with pytest.raises(ValueError):
-            HashConfig(domain_tags=(b"x", b"x", b"y"))
-
-    def test_config_rejects_unknown_xof(self):
-        for algorithm in ("md5", "shake128"):
-            with pytest.raises(ValueError):
-                HashConfig(algorithm=algorithm)
 
 
 class TestBitSensitivity:
@@ -78,11 +68,6 @@ class TestMaskOracle:
         R2 = prod.bob.PK_c1
         short, long = prod_oracles.h3(R2, 5), prod_oracles.h3(R2, 64)
         assert long.startswith(short)
-
-    def test_mask_length_cap(self, prod, prod_oracles):
-        cap = prod.params.max_message_bytes
-        with pytest.raises(MessageTooLongError):
-            prod_oracles.h3(prod.bob.T, cap + 1)
 
 
 class TestHashToScalar:
@@ -111,11 +96,6 @@ class TestHashToScalar:
         first = oracles.h1(identity, T)
         assert not first.is_zero()
         assert oracles.h1(identity, T) == first
-
-    def test_oversize_message_rejected(self, toy_oracles):
-        toy, oracles = toy_oracles
-        with pytest.raises(MessageTooLongError):
-            oracles.h2(b"\x00" * 5, toy.element(1))
 
 
 class TestHashCounting:

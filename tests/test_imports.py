@@ -1,14 +1,17 @@
-"""No library module imports a name it never uses.  No linter ships with
-the test dependencies, so this reads the source with `ast`.  The
-package's `__init__.py` re-exports names and is not checked; an import
-line marked `# noqa` is skipped."""
+"""No library module imports a name it never uses, and no module-level
+private name of the library goes unread by the library or the scripts
+beside it.  No linter ships with the test dependencies, so this reads
+the source with `ast`.  The package's `__init__.py` re-exports names and
+is not checked for unused imports; an import line marked `# noqa` is
+skipped."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hsc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hsc"
 
 
 def _unused_imports(source):
@@ -37,3 +40,60 @@ def test_the_check_finds_an_unused_import():
               "import os.path as osp\n\n"
               "def f(x: Optional[int]) -> None:\n    return os.sep\n")
     assert _unused_imports(source) == ["Union", "osp"]
+
+
+def _unread_private_names(sources, readers=()):
+    """The module-level `_name` functions, classes and assignments of the
+    modules in `sources` (module name -> source) that neither they nor
+    the `readers` (more sources) read, as sorted "module._name" strings.
+    A read is a name loaded, an attribute of that name, or a name an
+    import takes from a module."""
+    defined, read = [], set()
+    for source in readers:
+        read |= _reads(ast.parse(source))
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read |= _reads(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def _reads(tree):
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def test_no_unread_private_names():
+    # scripts/gen_g_table.py is the one reader of group._G_ROWS
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    scripts = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
+    assert _unread_private_names(sources, scripts) == []
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = {
+        "a": ("_USED = 1\n_UNUSED, _PAIRED = 2, 3\n_typed: int = 4\n__all__ = []\n\n"
+              "def _helper():\n    return _USED + _PAIRED\n\n"
+              "def _dead():\n    return _helper()\n\n"
+              "class _Unused:\n    pass\n"),
+        "b": "from .a import _typed\n",
+    }
+    assert _unread_private_names(sources) == ["a._UNUSED", "a._Unused", "a._dead"]
+    assert _unread_private_names(sources, ["import a\na._dead()\n"]) == \
+        ["a._UNUSED", "a._Unused"]
