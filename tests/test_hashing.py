@@ -5,8 +5,9 @@ import hashlib
 
 import pytest
 
+from hsc import codec
 from hsc.group import ToyGroup
-from hsc.hashing import DOMAIN_TAGS, HashOracles
+from hsc.hashing import DOMAIN_TAGS, XOF_NAME, HashOracles
 
 from conftest import UnscriptedQueryError
 
@@ -46,6 +47,26 @@ class TestDomainSeparation:
         # identical payloads, different tags, different outputs
         assert p1 != p2
         assert prod_oracles.h1(payload, T) != prod_oracles.h2(payload, T)
+
+    def test_config_rejects_unknown_xof(self, prod, prod_oracles):
+        # the oracles' XOF is fixed: H3 is SHAKE256 of its preimage, and a
+        # params file that configures the oracles with another XOF is refused
+        T = prod.bob.T
+        assert XOF_NAME == "shake256"
+        assert prod_oracles.h3(T, 40) == hashlib.shake_256(
+            prod_oracles.h3_preimage(T)).digest(40)
+
+        def trailer(xof):
+            fields = (xof.encode("ascii"), *DOMAIN_TAGS)
+            return b"".join(len(f).to_bytes(4, "big") + f for f in fields)
+
+        data = codec.encode_params(prod.params)
+        assert data.endswith(trailer(XOF_NAME))
+        for algorithm in ("md5", "shake128"):
+            assert hashlib.new(algorithm)  # a real hash, just not the scheme's
+            other = data[:-len(trailer(XOF_NAME))] + trailer(algorithm)
+            with pytest.raises(ValueError, match=algorithm):
+                codec.decode_params(other)
 
 
 class TestBitSensitivity:
