@@ -12,9 +12,11 @@ table it is promoted to on its second use, by an untimed warm-up before
 each pass; decoding a pool point takes a square root, and decoding
 Ppub's encoding again hits the cache of recent decodes.  On secp256k1
 two more rows time the point kernels themselves, a Jacobian doubling
-and a mixed Jacobian-affine addition, and two the tables: reading,
+and a mixed Jacobian-affine addition, two the tables: reading,
 checking and parsing the generator's table file, and building one
-promoted point's table.  Operation counts come from scoped counters
+promoted point's table, and one the start of a CLI process: a fresh
+interpreter imports hsc.cli and reports that import's time by its own
+clock.  Operation counts come from scoped counters
 around one invocation of each algorithm -- measured, never hardcoded.
 
 With `repeat` R > 1 every row is timed in R passes, interleaved (each
@@ -40,14 +42,16 @@ import io
 import json
 import os
 import platform
-import secrets
 import statistics
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .group import (OpCounter, Secp256k1Group, _GLV_ROWS, _GLV_WIDTH, _P, _decompress,
-                    _fixed_window_rows, _jac_double, _jac_madd, _load_g_table, _promotion)
+                    _fixed_window_rows, _jac_double, _jac_madd, _load_g_table, _promotion,
+                    _system_rng)
 from .keys import (
     ClcKeyPair,
     PkiKeyPair,
@@ -57,8 +61,6 @@ from .keys import (
     setup,
 )
 from .signcryption import DIRECTIONS
-
-_system_rng = secrets.SystemRandom()
 
 CSV_COLUMNS = [
     "record", "group", "name", "iterations",
@@ -210,6 +212,25 @@ def _time_loop(fn, inputs) -> list[float]:
     return samples
 
 
+# a child interpreter times its own import of the hsc package beside this
+# module (argv[1] is the directory that holds it) and prints the seconds
+_CLI_IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+               "t0 = time.perf_counter(); import hsc.cli; print(time.perf_counter() - t0)")
+
+
+def _cli_import_s() -> float:
+    """Seconds a fresh interpreter takes to import hsc.cli, the start of
+    every CLI process, by the child's own clock."""
+    out = subprocess.run(
+        [sys.executable, "-c", _CLI_IMPORT, str(Path(__file__).resolve().parents[1])],
+        capture_output=True, text=True, check=True).stdout
+    return float(out)
+
+
+# rows whose function returns its own sample instead of being timed
+_SELF_TIMED = {"cli_import"}
+
+
 def _reference_task() -> None:
     """Fixed big-integer work outside hsc, the kind that dominates it:
     3000 squarings mod the secp256k1 field prime, the end-to-end
@@ -220,7 +241,8 @@ def _reference_task() -> None:
 
 
 def _time_rows(rows, repeat: int, warm) -> tuple[list[OpTiming], list[float]]:
-    """Time each (name, fn, inputs) row in `repeat` interleaved passes;
+    """Time each (name, fn, inputs) row in `repeat` interleaved passes
+    (a _SELF_TIMED row's fn returns its own sample instead);
     warm[name](), where given, runs untimed before each pass of that row.
     Also returns the time of the host-speed reference before each pass."""
     passes = {name: [] for name, _, _ in rows}
@@ -232,7 +254,8 @@ def _time_rows(rows, repeat: int, warm) -> tuple[list[OpTiming], list[float]]:
         for name, fn, inputs in rows:
             if name in warm:
                 warm[name]()
-            passes[name].append(_time_loop(fn, inputs))
+            passes[name].append([fn(*args) for args in inputs] if name in _SELF_TIMED
+                                else _time_loop(fn, inputs))
     out = []
     for name, samples in passes.items():
         means = [statistics.fmean(s) for s in samples]
@@ -259,10 +282,11 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     `rows`, when given, names the primitive rows to time (`scalar_mult`,
     `scalar_mult_fixed`, `scalar_mult_repeat`, `group_add`,
     `hash_to_scalar`, `decode_element`, `decode_element_repeat`, and on
-    secp256k1 `jac_double`, `jac_madd`, `load_g_table` and
-    `promotion_build`); the other rows, the algorithm rows and the op
-    counts are then skipped.  The two table rows take milliseconds per
-    call, so like the algorithms they run `algo_iterations` times.
+    secp256k1 `jac_double`, `jac_madd`, `load_g_table`,
+    `promotion_build` and `cli_import`); the other rows, the algorithm
+    rows and the op counts are then skipped.  The two table rows and
+    `cli_import` take milliseconds per call, so like the algorithms they
+    run `algo_iterations` times.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -335,6 +359,7 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
             # the table a point gets on its second multiplication
             ("promotion_build", _fixed_window_rows,
              [(pick(i).value, _GLV_ROWS, _GLV_WIDTH) for i in range(algo_iterations)]),
+            ("cli_import", _cli_import_s, [() for _ in range(algo_iterations)]),
         ]
 
     def warm_ppub():

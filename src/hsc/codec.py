@@ -27,7 +27,7 @@ with a 1 MiB payload cap.  All decoders raise CodecError subclasses
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .group import GroupElement, make_group
 from .hashing import DOMAIN_TAGS, XOF_NAME
@@ -87,8 +87,7 @@ class FrameType(enum.IntEnum):
     STATUS = 0x05
 
 
-@dataclass
-class Frame:
+class Frame(NamedTuple):
     type_tag: int
     payload: bytes
 
@@ -310,7 +309,7 @@ def _decode_fields(data: bytes, params: SystemParams, kind: FileKind) -> dict:
 
 
 def encode_master(params: SystemParams, master: MasterKey) -> bytes:
-    return _encode_fields(params, FileKind.MASTER, vars(master))
+    return _encode_fields(params, FileKind.MASTER, master._asdict())
 
 
 def decode_master(data: bytes, params: SystemParams) -> MasterKey:
@@ -318,7 +317,7 @@ def decode_master(data: bytes, params: SystemParams) -> MasterKey:
 
 
 def encode_pki_keypair(params: SystemParams, key: PkiKeyPair) -> bytes:
-    return _encode_fields(params, FileKind.PKI_KEY, vars(key))
+    return _encode_fields(params, FileKind.PKI_KEY, key._asdict())
 
 
 def decode_pki_keypair(data: bytes, params: SystemParams) -> PkiKeyPair:
@@ -326,7 +325,7 @@ def decode_pki_keypair(data: bytes, params: SystemParams) -> PkiKeyPair:
 
 
 def encode_clc_keypair(params: SystemParams, key: ClcKeyPair) -> bytes:
-    return _encode_fields(params, FileKind.CLC_KEY, vars(key))
+    return _encode_fields(params, FileKind.CLC_KEY, key._asdict())
 
 
 def decode_clc_keypair(data: bytes, params: SystemParams) -> ClcKeyPair:
@@ -343,7 +342,7 @@ def decode_keypair(data: bytes, params: SystemParams, key_class: type):
 
 
 def encode_partial_key(params: SystemParams, identity: bytes, partial: ClcPartialKey) -> bytes:
-    fields = dict(vars(partial), identity=identity)
+    fields = dict(partial._asdict(), identity=identity)
     return _encode_fields(params, FileKind.CLC_PARTIAL, fields)
 
 
@@ -371,7 +370,7 @@ def decode_clc_public(data: bytes, params: SystemParams) -> tuple[bytes, ClcPubl
 
 def encode_public(params: SystemParams, key) -> bytes:
     """The public export of a PkiKeyPair or ClcKeyPair."""
-    return _encode_fields(params, _KEYPAIR_KINDS[type(key)][1], vars(key))
+    return _encode_fields(params, _KEYPAIR_KINDS[type(key)][1], key._asdict())
 
 
 def decode_public(data: bytes, params: SystemParams, key_class: type):

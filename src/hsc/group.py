@@ -53,10 +53,9 @@ import functools
 import hashlib
 import itertools
 import os
-import secrets
+import random
 import struct
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 
 class DecodeError(ValueError):
@@ -75,8 +74,7 @@ class OffGroupError(DecodeError):
     """Element encoding does not name a group element."""
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(NamedTuple):
     """Public shape of a group: order and canonical encoding widths."""
 
     name: str
@@ -85,7 +83,6 @@ class GroupDescriptor:
     element_len: int
 
 
-@dataclass
 class OpCounter:
     """Tallies of the operations that dominate runtime cost.
 
@@ -94,9 +91,12 @@ class OpCounter:
     invocations.  Counters only move while their scope is active.
     """
 
-    scalar_mults: int = 0
-    group_adds: int = 0
-    hash_calls: int = 0
+    __slots__ = ("scalar_mults", "group_adds", "hash_calls")
+
+    def __init__(self, scalar_mults: int = 0, group_adds: int = 0, hash_calls: int = 0) -> None:
+        self.scalar_mults = scalar_mults
+        self.group_adds = group_adds
+        self.hash_calls = hash_calls
 
 
 class Scalar:
@@ -218,8 +218,9 @@ class GroupElement:
         return f"GroupElement({self.group.descriptor.name}, {self.value!r})"
 
 
-# the draw for Group.random_scalar when its caller passes no rng
-_system_rng = secrets.SystemRandom()
+# the draw for Group.random_scalar when its caller passes no rng: the
+# os.urandom-backed class that the secrets module re-exports
+_system_rng = random.SystemRandom()
 
 
 class Group:
@@ -287,7 +288,7 @@ class Group:
 
         `rng` is anything with randrange(), e.g. a seeded random.Random
         for reproducible tests; without it the draw comes from the OS
-        CSPRNG (secrets.SystemRandom).
+        CSPRNG (random.SystemRandom, which reads os.urandom).
         """
         return self.scalar((rng or _system_rng).randrange(1, self.descriptor.q))
 

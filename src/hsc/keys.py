@@ -19,7 +19,6 @@ scheme divides by (x_c + d) and keys are long-lived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
 
@@ -37,7 +36,6 @@ class DegenerateKeyError(ValueError):
     """Secret value collides with the partial key (x_c + d == 0)."""
 
 
-@dataclass
 class SystemParams:
     """Public parameters: the group, its generator P, the KGC public key
     Ppub and the message cap n (bits).  Immutable by convention once
@@ -50,12 +48,18 @@ class SystemParams:
 
     `oracles`, built on first use, is the one place the algorithms get
     H1-H3 from; assigning an object with the same h1/h2/h3 methods
-    replaces all three."""
+    replaces all three.  The property caches it in the instance's
+    ``__dict__``, which is why this is a plain class:
+    ``copy.copy(params)`` gives params whose oracles can be replaced
+    without touching the original's.  ``==`` is identity; two params
+    are the same when :func:`hsc.codec.encode_params` gives the same
+    bytes for both."""
 
-    group: Group
-    P: GroupElement
-    Ppub: GroupElement
-    n: int
+    def __init__(self, group: Group, P: GroupElement, Ppub: GroupElement, n: int) -> None:
+        self.group = group
+        self.P = P
+        self.Ppub = Ppub
+        self.n = n
 
     @cached_property
     def oracles(self) -> HashOracles:
@@ -66,24 +70,21 @@ class SystemParams:
         return self.n // 8
 
 
-@dataclass
-class MasterKey:
+class MasterKey(NamedTuple):
     """KGC master secret; never leaves the KGC role, never serialized
     into any public structure."""
 
     s: Scalar
 
 
-@dataclass
-class PkiKeyPair:
+class PkiKeyPair(NamedTuple):
     """PKI user key: private x_p, public PK_p = (1/x_p)*P."""
 
     x_p: Scalar
     PK_p: GroupElement
 
 
-@dataclass
-class ClcPartialKey:
+class ClcPartialKey(NamedTuple):
     """Identity-bound partial private key issued by the KGC: d = t + s*γ
     with commitment T = t*P.  The ephemeral t is destroyed after issue."""
 
@@ -98,8 +99,7 @@ class ClcPublicKey(NamedTuple):
     PK_c1: GroupElement
 
 
-@dataclass
-class ClcKeyPair:
+class ClcKeyPair(NamedTuple):
     """Full certificateless key: identity, both private halves (x_c, d),
     and the public halves (T, PK_c1 = x_c*P)."""
 

@@ -33,8 +33,7 @@ or 3S+2H (CPHS), unsigncrypt costs 4S+2H in both directions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .group import GroupElement, Scalar
 from .keys import ClcKeyPair, ClcPublicKey, PkiKeyPair, SystemParams
@@ -56,18 +55,32 @@ class MessageSizeError(ValueError):
     """Message is empty or exceeds the params' cap n."""
 
 
-@dataclass
 class Ciphertext:
     """sigma = (c, u, V) plus the direction it belongs to.
 
     Serialized size is |m| + scalar_len + element_len (+ 1 tag byte on
-    the wire); see codec.
+    the wire); see codec.  The fields stay assignable, so a test or a
+    benchmark can tamper with a ciphertext in place; two ciphertexts
+    are equal when all four fields are.
     """
 
-    c: bytes
-    u: Scalar
-    V: GroupElement
-    direction: Direction
+    __slots__ = ("c", "u", "V", "direction")
+
+    def __init__(self, c: bytes, u: Scalar, V: GroupElement, direction: Direction) -> None:
+        self.c = c
+        self.u = u
+        self.V = V
+        self.direction = direction
+
+    def __eq__(self, other):
+        if type(other) is not Ciphertext:
+            return NotImplemented
+        return ((self.c, self.u, self.V, self.direction)
+                == (other.c, other.u, other.V, other.direction))
+
+    def __repr__(self) -> str:
+        return (f"Ciphertext(c={self.c!r}, u={self.u!r}, V={self.V!r}, "
+                f"direction={self.direction!r})")
 
 
 def _xor(data: bytes, mask: bytes) -> bytes:
@@ -185,8 +198,7 @@ def cphs_unsigncrypt(
     return _open(params, sigma, R1, Q)
 
 
-@dataclass(frozen=True)
-class DirectionSpec:
+class DirectionSpec(NamedTuple):
     """One signcryption direction.  `peer` is the other side's decoded
     public export (codec.decode_public): PK_p for a PKI peer,
     (identity, ClcPublicKey) for a certificateless one."""

@@ -56,7 +56,7 @@ class ScriptedOracle:
                        h3={R2: bytes([0b0110])})
 
     and hand it to the algorithms by assigning it to ``params.oracles``
-    (or to that of a ``dataclasses.replace(params)`` copy).  Any query
+    (or to that of a ``copy.copy(params)`` copy).  Any query
     outside the tables raises UnscriptedQueryError, so a test cannot
     accidentally depend on real hashing.
     """

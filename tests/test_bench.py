@@ -184,8 +184,8 @@ class TestRepeatedPasses:
 
 
 class TestKernelRows:
-    """secp256k1 adds a row for each point kernel and two for its tables;
-    toy groups have none."""
+    """secp256k1 adds a row for each point kernel, two for its tables and
+    one for a CLI process's import; toy groups have none."""
 
     def test_secp256k1_times_the_kernels(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -196,12 +196,26 @@ class TestKernelRows:
         rows = [r for r in json.loads((tmp_path / "b.json").read_text())["rows"]
                 if r["record"] == "timing"]
         assert [r["name"] for r in rows] == EXPECTED_OPS[:7] + [
-            "jac_double", "jac_madd", "load_g_table", "promotion_build"] + EXPECTED_OPS[7:]
+            "jac_double", "jac_madd", "load_g_table", "promotion_build",
+            "cli_import"] + EXPECTED_OPS[7:]
         for row in rows[7:9]:
             assert row["iterations"] == 20 and float(row["mean_s"]) > 0
-        # the table rows run as often as the algorithms: 20 // 100, at least 1
-        for row in rows[9:11]:
+        # the table rows and cli_import run as often as the algorithms:
+        # 20 // 100, at least 1
+        for row in rows[9:12]:
             assert row["iterations"] == 1 and float(row["mean_s"]) > 0
+
+    def test_cli_import_row_imports_this_hsc(self, tmp_path, monkeypatch):
+        # the child starts in the working directory, which comes first on
+        # its path; a package named hsc there must not be the one timed
+        (tmp_path / "hsc").mkdir()
+        (tmp_path / "hsc" / "__init__.py").write_text("raise ImportError('decoy')\n")
+        monkeypatch.chdir(tmp_path)
+        params, _ = keys.setup("secp256k1", rng=random.Random(5))
+        report = bench_run(params, iterations=8, algo_iterations=2, rng=random.Random(6),
+                           rows=("cli_import",))
+        [row] = report.timings
+        assert (row.name, row.iterations) == ("cli_import", 2) and row.mean_s > 0
 
     def test_rows_filter_selects_them(self):
         params, _ = keys.setup("secp256k1", rng=random.Random(5))

@@ -170,7 +170,9 @@ class TestOneShotBuildsNoPromotedTable:
 
 class TestOneShotLoadsNoDemo:
     """signcrypt and unsigncrypt load neither the TCP demo nor the bench
-    harness, nor socket and logging, which only those need."""
+    harness, nor socket and logging, which only those need; nor
+    dataclasses (with the inspect it pulls in) or secrets, import time
+    that a one-shot process does not need."""
 
     def test_signcrypt_and_unsigncrypt(self, workspace):
         code = textwrap.dedent("""
@@ -186,7 +188,8 @@ class TestOneShotLoadsNoDemo:
                 assert cli.main(["unsigncrypt", *common, "--key", receiver,
                                  "--peer", sender_pub, "--in", f"nodemo_{mode}.hsc",
                                  "--out", f"nodemo_{mode}.txt"]) == 0
-            print(sorted({"socket", "logging", "hsc.netdemo", "hsc.bench"} & set(sys.modules)))
+            print(sorted({"socket", "logging", "hsc.netdemo", "hsc.bench",
+                          "dataclasses", "inspect", "secrets"} & set(sys.modules)))
         """)
         result = subprocess.run([sys.executable, "-c", code], cwd=workspace,
                                 capture_output=True, text=True, env=child_env(),

@@ -1,7 +1,6 @@
 """Byte formats: sizes, roundtrips, strict rejection, frames, and fuzz
 (decoders must fail with structured errors, never crash)."""
 
-import dataclasses
 import io
 import random
 from types import SimpleNamespace
@@ -237,27 +236,27 @@ class TestZeroSecretScalars:
             clc=keys.clc_keygen(params, master, b"bob", rng))
 
     def test_zero_x_p(self, toy101):
-        key = dataclasses.replace(toy101.pki, x_p=toy101.scalar(0))
+        key = toy101.pki._replace(x_p=toy101.scalar(0))
         data = codec.encode_pki_keypair(toy101.params, key)
         with pytest.raises(CodecError):
             codec.decode_pki_keypair(data, toy101.params)
 
     @pytest.mark.parametrize("field", ["x_c", "d"])
     def test_zero_clc_scalar(self, toy101, field):
-        key = dataclasses.replace(toy101.clc, **{field: toy101.scalar(0)})
+        key = toy101.clc._replace(**{field: toy101.scalar(0)})
         data = codec.encode_clc_keypair(toy101.params, key)
         with pytest.raises(CodecError):
             codec.decode_clc_keypair(data, toy101.params)
 
     def test_x_c_equal_to_minus_d(self, toy101):
-        key = dataclasses.replace(toy101.clc, x_c=-toy101.clc.d)
+        key = toy101.clc._replace(x_c=-toy101.clc.d)
         assert int(key.x_c) == 101 - int(key.d)
         data = codec.encode_clc_keypair(toy101.params, key)
         with pytest.raises(CodecError):
             codec.decode_clc_keypair(data, toy101.params)
 
     def test_zero_partial_d(self, toy101):
-        partial = dataclasses.replace(toy101.partial, d=toy101.scalar(0))
+        partial = toy101.partial._replace(d=toy101.scalar(0))
         data = codec.encode_partial_key(toy101.params, b"bob", partial)
         with pytest.raises(CodecError):
             codec.decode_partial_key(data, toy101.params)

@@ -1,6 +1,7 @@
 """Key lifecycle: setup, PKI keygen, partial-key issue/verify/finalize,
 and the invariants that keep the schemes' algebra alive."""
 
+import copy
 import random
 
 import pytest
@@ -30,6 +31,14 @@ class TestSetup:
     def test_rejects_nonpositive_cap(self):
         with pytest.raises(ValueError):
             keys.setup("toy-13", n=0)
+
+    def test_copy_takes_its_own_oracles(self, toy13):
+        params = copy.copy(toy13.params)
+        assert (params.group, params.P, params.Ppub, params.n) == \
+            (toy13.group, toy13.params.P, toy13.params.Ppub, 8)
+        assert params.oracles is toy13.oracle
+        params.oracles = ScriptedOracle(toy13.group)
+        assert toy13.params.oracles is toy13.oracle
 
     def test_rejects_n_wider_than_the_params_file(self):
         # the params file stores n in 4 bytes
