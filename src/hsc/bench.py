@@ -10,9 +10,12 @@ point takes the first-use GLV + wNAF path, P the shipped fixed-window
 table of the generator, and the repeated point (Ppub) the fixed-window
 table it is promoted to on its second use, by an untimed warm-up before
 each pass; decoding a pool point takes a square root, and decoding
-Ppub's encoding again hits the cache of recent decodes.  On secp256k1
-two more rows time the point kernels themselves, a Jacobian doubling
-and a mixed Jacobian-affine addition, two the tables: reading,
+Ppub's encoding again hits the cache of recent decodes.  The
+multiplication and addition rows read the result's canonical value, so
+on secp256k1 they include the inversion that makes it affine.  On
+secp256k1 three more rows time the point kernels themselves, a Jacobian
+doubling, a mixed Jacobian-affine addition and a Jacobian-Jacobian
+addition, two the tables: reading,
 checking and parsing the generator's table file, and building one
 promoted point's table, and one the start of a CLI process: a fresh
 interpreter imports hsc.cli and reports that import's time by its own
@@ -49,9 +52,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .group import (OpCounter, Secp256k1Group, _GLV_ROWS, _GLV_WIDTH, _P, _decompress,
-                    _fixed_window_rows, _jac_double, _jac_madd, _load_g_table, _promotion,
-                    _system_rng)
+from .group import (GroupElement, OpCounter, Secp256k1Group, _GLV_ROWS, _GLV_WIDTH, _P,
+                    _decompress, _fixed_window_rows, _jac_add, _jac_double, _jac_madd,
+                    _load_g_table, _promotion, _system_rng)
 from .keys import (
     ClcKeyPair,
     PkiKeyPair,
@@ -282,7 +285,7 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     `rows`, when given, names the primitive rows to time (`scalar_mult`,
     `scalar_mult_fixed`, `scalar_mult_repeat`, `group_add`,
     `hash_to_scalar`, `decode_element`, `decode_element_repeat`, and on
-    secp256k1 `jac_double`, `jac_madd`, `load_g_table`,
+    secp256k1 `jac_double`, `jac_madd`, `jac_add`, `load_g_table`,
     `promotion_build` and `cli_import`); the other rows, the algorithm
     rows and the op counts are then skipped.  The two table rows and
     `cli_import` take milliseconds per call, so like the algorithms they
@@ -304,8 +307,11 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     # so the pool is modest and rotated rather than per-iteration fresh.
     # It holds 64 points whatever the iteration count, more than the 16
     # entries of the caches of recent points and decodes, so a pass that
-    # cycles through it never hits them, and pick(i + 1) is never pick(i)
-    pool = [group.random_scalar(rng) * params.P for _ in range(64)]
+    # cycles through it never hits them, and pick(i + 1) is never pick(i).
+    # Its points hold their canonical values, as decoded points do, so
+    # group_add times the same addition in every pass
+    pool = [GroupElement(group, (group.random_scalar(rng) * params.P).value)
+            for _ in range(64)]
 
     def pick(i):
         return pool[i % len(pool)]
@@ -314,19 +320,27 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     msg_len = min(32, params.max_message_bytes)
     msgs = [rng.getrandbits(8 * msg_len).to_bytes(msg_len, "big")
             for _ in range(iterations)]
+
+    # a product or a sum is made affine when its value is first read
+    def mul_value(k, X):
+        return group.mul(k, X).value
+
+    def add_value(X, Y):
+        return group.add(X, Y).value
+
     primitives = [
         # each pass starts with the cache of recent points empty and cycles
         # through more points than it holds, so this row times the
         # first-use path with a table build in every call
-        ("scalar_mult", group.mul,
+        ("scalar_mult", mul_value,
          [(scalars[i], pick(i)) for i in range(iterations)]),
         # on secp256k1, k*P reads the shipped fixed-window table
-        ("scalar_mult_fixed", group.mul, [(k, params.P) for k in scalars]),
+        ("scalar_mult_fixed", mul_value, [(k, params.P) for k in scalars]),
         # one point over and over: on secp256k1 the untimed warm-up before
         # each pass promotes it again (scalar_mult, just before, evicts it
         # from the cache), so every timed call reads its fixed-window table
-        ("scalar_mult_repeat", group.mul, [(k, params.Ppub) for k in scalars]),
-        ("group_add", group.add,
+        ("scalar_mult_repeat", mul_value, [(k, params.Ppub) for k in scalars]),
+        ("group_add", add_value,
          [(pick(i), pick(i + 1)) for i in range(iterations)]),
         ("hash_to_scalar", params.oracles.h2,
          [(msgs[i], pick(i)) for i in range(iterations)]),
@@ -340,9 +354,10 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
          [(params.Ppub.encode(),)] * iterations),
     ]
     if isinstance(group, Secp256k1Group):
-        # the two point kernels every multiplication path ends in, on the
-        # pool points in Jacobian coordinates with a random Z; jac_madd
-        # adds the next pool point, affine
+        # the point kernels, on the pool points in Jacobian coordinates
+        # with a random Z: the two every multiplication path ends in, and
+        # the addition of two sums or products; jac_madd adds the next
+        # pool point, affine, and jac_add the next one, Jacobian
         jac = []
         for X in pool:
             x, y = X.value
@@ -352,6 +367,8 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
             ("jac_double", _jac_double, [jac[i % len(jac)] for i in range(iterations)]),
             ("jac_madd", _jac_madd,
              [jac[i % len(jac)] + pick(i + 1).value for i in range(iterations)]),
+            ("jac_add", _jac_add,
+             [jac[i % len(jac)] + jac[(i + 1) % len(jac)] for i in range(iterations)]),
             # a cold load of the generator's table past its cache: every
             # call reads the file, checks its SHA-256 and parses it, as
             # the first k*P of a process does

@@ -14,7 +14,7 @@ Two interchangeable instantiations sit behind one interface:
   * any other point, on its first multiplication, recodes both halves as
     width-5 wNAF and runs one shared doubling chain of about 129 steps
     over a table of odd multiples of the point, built on an isomorphic
-    curve with one inversion;
+    curve and brought to one shared Z with no inversion;
   * a point multiplied a second time while it is still among the 16 most
     recently multiplied gets a width-7 signed fixed-window table of 19
     rows of its own, built a column at a time with one inversion per
@@ -25,6 +25,14 @@ Two interchangeable instantiations sit behind one interface:
   (x, y) packed into one int, x << 256 | y: k2's digits are summed
   first, lambda maps the sum by one multiplication of its X coordinate
   by beta, and k1's digits are added on top.
+
+  A product or a sum stays in Jacobian coordinates.  Its element turns
+  it affine, with one field inversion, only when it is first encoded,
+  hashed or multiplied (the tables, the promotion slot and the test for P
+  read the affine point), and keeps the affine point from then on.
+  Equality asks whether X - Y is the identity, which the addition tells
+  from cross-multiplied coordinates with no inversion; an addition is
+  mixed when one side is affine and a full Jacobian addition otherwise.
 
   The generator's table, the slots of the 16 points multiplied most
   recently and the points of the 16 most recent decodes are functools
@@ -39,7 +47,9 @@ Two interchangeable instantiations sit behind one interface:
   and brute-force oracles possible.
 
 Scalars live in Z_q for the group order q.  Group elements and scalars are
-immutable and safe to share between threads.  Operation counting
+immutable and safe to share between threads: an element that keeps its
+affine point does so by one assignment of an immutable tuple, and threads
+that race to compute it compute equal ones.  Operation counting
 (:meth:`Group.counting`) is kept per thread (per context): enter a scope,
 run one algorithm, read the tallies; other threads using the same group
 meanwhile neither add to them nor see them.
@@ -169,13 +179,23 @@ class Scalar:
 
 
 class GroupElement:
-    """Element of a prime-order group, bound to its group instance."""
+    """Element of a prime-order group, bound to its group instance.
 
-    __slots__ = ("group", "value")
+    It holds the value its group computed, which on secp256k1 may be a
+    Jacobian triple; `value` is the canonical one."""
+
+    __slots__ = ("group", "_raw")
 
     def __init__(self, group: "Group", value) -> None:
         self.group = group
-        self.value = value
+        self._raw = value
+
+    @property
+    def value(self):
+        """The canonical value: on secp256k1 the affine (x, y), or None
+        for the identity.  Worked out on the first read and kept."""
+        value = self._raw = self.group._normalize_value(self._raw)
+        return value
 
     def __add__(self, other):
         if not isinstance(other, GroupElement):
@@ -198,7 +218,7 @@ class GroupElement:
     __mul__ = __rmul__
 
     def is_identity(self) -> bool:
-        return self.group.is_identity_value(self.value)
+        return self.group.is_identity_value(self._raw)
 
     def encode(self) -> bytes:
         return self.group.encode_element(self)
@@ -207,9 +227,13 @@ class GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
         # descriptor equality, not instance identity: elements decoded
-        # through two loads of the same params must compare equal
-        return (self.group.descriptor == other.group.descriptor
-                and self.value == other.value)
+        # through two loads of the same params must compare equal.  X is
+        # Y iff X - Y is the identity, uncounted, which on secp256k1 the
+        # addition finds at its first test, with no inversion
+        group = self.group
+        return (group.descriptor == other.group.descriptor
+                and group.is_identity_value(
+                    group._add_value(self._raw, group._neg_value(other._raw))))
 
     def __hash__(self) -> int:
         return hash((self.group.descriptor.name, self.encode()))
@@ -317,15 +341,15 @@ class Group:
     def add(self, X: GroupElement, Y: GroupElement) -> GroupElement:
         """Group law X+Y.  Counts one group_add."""
         self._tally("group_adds")
-        return GroupElement(self, self._add_value(X.value, Y.value))
+        return GroupElement(self, self._add_value(X._raw, Y._raw))
 
     def sub(self, X: GroupElement, Y: GroupElement) -> GroupElement:
         """X + (-Y), counted as a single group_add."""
         self._tally("group_adds")
-        return GroupElement(self, self._add_value(X.value, self._neg_value(Y.value)))
+        return GroupElement(self, self._add_value(X._raw, self._neg_value(Y._raw)))
 
     def neg(self, X: GroupElement) -> GroupElement:
-        return GroupElement(self, self._neg_value(X.value))
+        return GroupElement(self, self._neg_value(X._raw))
 
     def generator(self) -> GroupElement:
         return GroupElement(self, self._generator_value())
@@ -351,6 +375,11 @@ class Group:
         return GroupElement(self, self._decode_value(data))
 
     # -- subclass surface ------------------------------------------------------
+    # is_identity_value, _add_value and _neg_value take the values elements
+    # hold; _mul_value and _encode_value take canonical ones
+
+    def _normalize_value(self, xv):
+        return xv
 
     def _generator_value(self):
         raise NotImplementedError
@@ -508,6 +537,36 @@ def _jac_madd(X1, Y1, Z1, x2, y2):
     return X3, Y3, Z3
 
 
+def _jac_add(X1, Y1, Z1, X2, Y2, Z2):
+    # add-2007-bl, Jacobian plus Jacobian, without its factors of 2 as in
+    # _jac_madd: HH = H^2, r = S2 - S1 and Z3 = Z1*Z2*H in place of
+    # (2H)^2, 2*(S2 - S1) and ((Z1+Z2)^2 - Z1Z1 - Z2Z2)*H, a representative
+    # of the same affine point.  Either side may be the identity (Z = 0);
+    # H and r are reduced before the tests, as in _jac_madd.
+    if Z1 == 0:
+        return X2, Y2, Z2
+    if Z2 == 0:
+        return X1, Y1, Z1
+    p = _P
+    Z1Z1 = Z1 * Z1 % p
+    Z2Z2 = Z2 * Z2 % p
+    U1 = X1 * Z2Z2 % p
+    S1 = Y1 * (Z2 * Z2Z2 % p) % p
+    H = (X2 * Z1Z1 - U1) % p
+    r = (Y2 * (Z1 * Z1Z1 % p) - S1) % p
+    if H == 0:
+        if r == 0:
+            return _jac_double(X1, Y1, Z1)
+        return 0, 1, 0
+    HH = H * H % p
+    HHH = H * HH % p
+    V = U1 * HH % p
+    X3 = (r * r - HHH - 2 * V) % p
+    Y3 = (r * (V - X3) - S1 * HHH) % p
+    Z3 = Z1 * Z2 % p * H % p
+    return X3, Y3, Z3
+
+
 def _jac_to_affine(X, Y, Z):
     if Z == 0:
         return None
@@ -608,23 +667,42 @@ def _batch_affine(chain):
 
 
 def _odd_multiples(point):
-    """Affine 1X, 3X, ..., 15X for the affine point X, and the same
-    multiples of _LAMBDA*X, (_BETA*x, y), from one field inversion.  The
-    chain adds 2X = (dx, dy, dz) by mixed addition on the isomorphic curve
-    y^2 = x^3 + 7*dz^6, where 2X is (dx, dy) and X is (x*dz^2, y*dz^3);
-    madd reads no curve constant, and (X', Y', Z') there is
-    (X', Y', Z'*dz) on secp256k1."""
+    """1X, 3X, ..., 15X for the affine point X and the same multiples of
+    _LAMBDA*X, (_BETA*x, y), on one shared Z and with no field inversion:
+    (table, table_lambda, u), where the entry (x', y') is the Jacobian
+    point (x', y', u) of secp256k1.
+
+    The chain adds 2X = (dx, dy, dz) by mixed addition on the isomorphic
+    curve y^2 = x^3 + 7*dz^6, where 2X is (dx, dy) and X is
+    (x*dz^2, y*dz^3).  Each step multiplies Z by madd's H, so scaling an
+    entry by the H of every later step brings it to the last step's Z,
+    Z' (libsecp256k1's ecmult_odd_multiples_table and
+    ge_table_set_globalz).  The entries are then affine points of
+    y^2 = x^3 + 7*u^6 for u = Z'*dz.  Neither madd nor doubling reads the
+    curve constant, so a chain over the entries gives a Jacobian
+    (X, Y, Z) there, which is (X, Y, Z*u) on secp256k1."""
     p = _P
     x, y = point
     dx, dy, dz = _jac_double(x, y, 1)
     dz2 = dz * dz % p
     acc = (x * dz2 % p, y * dz2 % p * dz % p, 1)
-    chain = [(x, y, 1)]
+    chain = [acc]
+    ratios = []
     for _ in range(_TABLE_SIZE - 1):
+        X1, _, Z1 = acc
+        # madd's H, Z3/Z1; never 0, since no odd multiple of X is +-2X
+        ratios.append((dx * (Z1 * Z1 % p) - X1) % p)
         acc = _jac_madd(*acc, dx, dy)
-        chain.append((acc[0], acc[1], acc[2] * dz % p))
-    table = tuple(_batch_affine(chain))
-    return table, tuple((_BETA * x % p, y) for x, y in table)
+        chain.append(acc)
+    X, Y, Z = chain.pop()
+    table = [(X, Y)]
+    r = 1  # Z'/Z of the entry scaled next
+    for (X, Y, _), h in zip(reversed(chain), reversed(ratios)):
+        r = r * h % p
+        r2 = r * r % p
+        table.append((X * r2 % p, Y * r2 % p * r % p))
+    table.reverse()
+    return tuple(table), tuple((_BETA * x % p, y) for x, y in table), Z * dz % p
 
 
 def _fixed_window_rows(point, rows: int, w: int):
@@ -699,14 +777,16 @@ def _fixed_window_madd(r, table, k: int, w: int):
 
 
 def _mul_wnaf(k: int, tables):
-    """k*X for 0 < k < N from the odd multiples of X and of _LAMBDA*X:
-    GLV split, both halves as width-5 wNAF, one shared doubling chain."""
+    """The Jacobian k*X for 0 < k < N from _odd_multiples(X): GLV split,
+    both halves as width-5 wNAF, one shared doubling chain over the
+    tables' entries, and the chain's Z times the tables' u."""
+    table, table_lambda, u = tables
     k1, k2 = _glv_split(k)
-    # adds[i]: the affine points to add after doubling at bit i; the k2
+    # adds[i]: the table entries to add after doubling at bit i; the k2
     # half adds multiples of _LAMBDA*X, and a negative digit or a negative
     # half adds the negated point
     adds = [[] for _ in range(max(abs(k1), abs(k2)).bit_length() + 1)]
-    for half, tbl in zip((k1, k2), tables):
+    for half, tbl in zip((k1, k2), (table, table_lambda)):
         for i, d in _wnaf(abs(half)):
             x, y = tbl[abs(d) >> 1]
             adds[i].append((x, _P - y) if (d < 0) != (half < 0) else (x, y))
@@ -716,18 +796,18 @@ def _mul_wnaf(k: int, tables):
             rx, ry, rz = _jac_double(rx, ry, rz)
         for x, y in points:
             rx, ry, rz = _jac_madd(rx, ry, rz, x, y)
-    return _jac_to_affine(rx, ry, rz)
+    return rx, ry, rz * u % _P
 
 
 def _mul_fixed(k: int, table, w: int):
-    """k*X for 0 < k < N from the width-w fixed-window rows of X, with no
-    doubling.  k splits into k1 + k2*_LAMBDA (GLV), and both halves read
-    the one table: k2's digits sum to k2*X, _LAMBDA maps the Jacobian
-    accumulator (X', Y', Z') to (_BETA*X', Y', Z'), and k1's digits are
-    added on top."""
+    """The Jacobian k*X for 0 < k < N from the width-w fixed-window rows
+    of X, with no doubling.  k splits into k1 + k2*_LAMBDA (GLV), and
+    both halves read the one table: k2's digits sum to k2*X, _LAMBDA maps
+    the Jacobian accumulator (X', Y', Z') to (_BETA*X', Y', Z'), and k1's
+    digits are added on top."""
     k1, k2 = _glv_split(k)
     rx, ry, rz = _fixed_window_madd((0, 1, 0), table, k2, w)
-    return _jac_to_affine(*_fixed_window_madd((_BETA * rx % _P, ry, rz), table, k1, w))
+    return _fixed_window_madd((_BETA * rx % _P, ry, rz), table, k1, w)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -740,12 +820,12 @@ def _promotion(point):
 
 
 def _mul_glv(k: int, point):
-    """k*X for 0 < k < N and the affine point X.  The first
-    multiplication of X builds its odd multiples (one inversion) and runs
-    the wNAF chain; the second, while X is still cached, builds its
-    fixed-window table, which it and every later one read.  Threads that
-    race may each build a table; list append and item assignment are
-    atomic, and either table is X's."""
+    """The Jacobian k*X for 0 < k < N and the affine point X.  The first
+    multiplication of X builds its odd multiples and runs the wNAF chain;
+    the second, while X is still cached, builds its fixed-window table,
+    which it and every later one read.  Threads that race may each build
+    a table; list append and item assignment are atomic, and either table
+    is X's."""
     slot = _promotion(point)
     if not slot:
         slot.append(None)
@@ -819,6 +899,10 @@ class Secp256k1Group(Group):
     points, 33 zero bytes for the identity.  Decoding rejects anything
     non-canonical instead of normalising it.
 
+    A product or a sum is kept in Jacobian coordinates until its element
+    is encoded, hashed or multiplied, which makes it affine once (see the
+    module docstring); equality needs no inversion.
+
     Three caches last for the process and are shared by all instances
     and threads.  The generator's table is read from
     `secp256k1_g_w10.bin` on the first k*P.  The 16 most recently
@@ -847,17 +931,31 @@ class Secp256k1Group(Group):
     def _identity_value(self):
         return None
 
+    # an element holds None, an affine (x, y) or a Jacobian (X, Y, Z)
+
+    def _normalize_value(self, xv):
+        if xv is not None and len(xv) == 3:
+            return _jac_to_affine(*xv)
+        return xv
+
+    def is_identity_value(self, xv) -> bool:
+        return xv is None or len(xv) == 3 and xv[2] == 0
+
     def _add_value(self, xv, yv):
         if xv is None:
             return yv
         if yv is None:
             return xv
-        return _jac_to_affine(*_jac_madd(xv[0], xv[1], 1, yv[0], yv[1]))
+        if len(xv) == 2:
+            xv, yv = yv, xv  # madd takes its affine side second
+        if len(yv) == 3:
+            return _jac_add(*xv, *yv)
+        return _jac_madd(*xv, *yv) if len(xv) == 3 else _jac_madd(*xv, 1, *yv)
 
     def _neg_value(self, xv):
         if xv is None:
             return None
-        return (xv[0], _P - xv[1])
+        return (xv[0], _P - xv[1], *xv[2:])
 
     def _mul_value(self, k: int, xv):
         if xv is None or k == 0:

@@ -154,5 +154,26 @@ def table_builds(monkeypatch):
 
 
 @pytest.fixture
+def inversions(monkeypatch):
+    """The secp256k1 field inversions made during the test, one entry
+    each, named by the function that made it: `_jac_to_affine` of a point
+    other than the identity, and `_batch_inverse`."""
+    made = []
+
+    def to_affine(X, Y, Z, convert=group._jac_to_affine):
+        if Z:
+            made.append("_jac_to_affine")
+        return convert(X, Y, Z)
+
+    def batch_inverse(values, invert=group._batch_inverse):
+        made.append("_batch_inverse")
+        return invert(values)
+
+    monkeypatch.setattr(group, "_jac_to_affine", to_affine)
+    monkeypatch.setattr(group, "_batch_inverse", batch_inverse)
+    return made
+
+
+@pytest.fixture
 def rng():
     return random.Random(0x5EED)

@@ -116,6 +116,33 @@ class TestRowFilter:
         assert timed_builds == []
         assert timed_hits == [0] * 6
 
+    def test_mult_and_add_rows_time_one_inversion_per_call(self, inversions, monkeypatch):
+        # each timed call makes its product or sum affine, as every call
+        # did when results were affine on return; the pool points are
+        # affine when made, so group_add is a mixed addition in every pass
+        params, _ = keys.setup("secp256k1", rng=random.Random(5))
+        full_adds = []
+
+        def jac_add(*args, add=group._jac_add):
+            full_adds.append(args)
+            return add(*args)
+
+        monkeypatch.setattr(group, "_jac_add", jac_add)
+        timed = []
+        time_loop = bench._time_loop
+
+        def spy(fn, inputs):
+            before = len(inversions)
+            samples = time_loop(fn, inputs)
+            timed.append(len(inversions) - before)
+            return samples
+
+        monkeypatch.setattr(bench, "_time_loop", spy)
+        bench_run(params, iterations=10, rng=random.Random(6), repeat=2,
+                  rows=("scalar_mult", "scalar_mult_fixed", "scalar_mult_repeat", "group_add"))
+        assert timed == [10] * 8
+        assert full_adds == []
+
     def test_unknown_row_raises(self):
         params, _ = keys.setup("toy-13", rng=random.Random(1))
         with pytest.raises(ValueError, match="keygen"):
@@ -196,13 +223,13 @@ class TestKernelRows:
         rows = [r for r in json.loads((tmp_path / "b.json").read_text())["rows"]
                 if r["record"] == "timing"]
         assert [r["name"] for r in rows] == EXPECTED_OPS[:7] + [
-            "jac_double", "jac_madd", "load_g_table", "promotion_build",
+            "jac_double", "jac_madd", "jac_add", "load_g_table", "promotion_build",
             "cli_import"] + EXPECTED_OPS[7:]
-        for row in rows[7:9]:
+        for row in rows[7:10]:
             assert row["iterations"] == 20 and float(row["mean_s"]) > 0
         # the table rows and cli_import run as often as the algorithms:
         # 20 // 100, at least 1
-        for row in rows[9:12]:
+        for row in rows[10:13]:
             assert row["iterations"] == 1 and float(row["mean_s"]) > 0
 
     def test_cli_import_row_imports_this_hsc(self, tmp_path, monkeypatch):
@@ -220,9 +247,9 @@ class TestKernelRows:
     def test_rows_filter_selects_them(self):
         params, _ = keys.setup("secp256k1", rng=random.Random(5))
         report = bench_run(params, iterations=8, rng=random.Random(6),
-                           rows=("jac_madd", "jac_double"))
+                           rows=("jac_add", "jac_madd", "jac_double"))
         assert [(t.name, t.iterations) for t in report.timings] == \
-            [("jac_double", 8), ("jac_madd", 8)]
+            [("jac_double", 8), ("jac_madd", 8), ("jac_add", 8)]
         toy, _ = keys.setup("toy-101", rng=random.Random(5))
         with pytest.raises(ValueError, match="jac_double"):
             bench_run(toy, 8, rows=("jac_double",))

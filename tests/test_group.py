@@ -254,6 +254,84 @@ class TestEncodings:
         assert other.decode_element(secp.encode_element(X)) == X
 
 
+class TestHeldJacobianValues:
+    """A secp256k1 element may hold a Jacobian triple: it equals, hashes
+    and encodes like the element of its affine point, in its own group
+    instance and in another, and it is made affine once."""
+
+    def test_equal_hash_and_encode_like_the_affine_twin(self, secp, inversions):
+        other = Secp256k1Group()
+        rng = random.Random(101)
+        pairs = []
+        for X in _kernel_points():
+            held = GroupElement(secp, _jacobian(X, rng.randrange(2, _P)))
+            twins = [GroupElement(secp, X), GroupElement(other, X),
+                     GroupElement(other, _jacobian(X, rng.randrange(2, _P)))]
+            pairs.append((held, twins, X))
+        identity = GroupElement(secp, (5, 7, 0))
+        # equality cross-multiplies: no inversion
+        for held, twins, X in pairs:
+            for twin in twins:
+                assert held == twin and twin == held
+            assert held != GroupElement(secp, (X[0], _P - X[1]))
+            assert held != identity and identity != held
+        assert identity == secp.identity() == GroupElement(other, (0, 1, 0))
+        assert inversions == []
+        for held, twins, X in pairs:
+            for twin in twins:
+                assert hash(held) == hash(twin)
+                assert held.encode() == twin.encode()
+            assert held.value == X
+        assert hash(identity) == hash(secp.identity())
+        assert identity.encode() == secp.identity().encode() == b"\x00" * 33
+        assert identity.is_identity() and identity.value is None
+        # one inversion per held triple of a point, each made once: its
+        # affine point is kept
+        assert inversions == ["_jac_to_affine"] * 16
+        for held, twins, X in pairs:
+            assert held.value == X and held.encode() == twins[0].encode()
+        assert inversions == ["_jac_to_affine"] * 16
+
+    def test_threads_read_shared_held_triples(self, secp):
+        # each thread encodes, compares and reads the same elements, which
+        # hold Jacobian triples until one of them keeps the affine point
+        rng = random.Random(103)
+        points = _kernel_points()
+        shared = [GroupElement(secp, _jacobian(X, rng.randrange(2, _P))) for X in points]
+        expected = [(GroupElement(secp, X).encode(), True, X) for X in points]
+        results = [None] * 4
+        start = threading.Barrier(len(results))
+
+        def run(slot):
+            start.wait(timeout=10)
+            results[slot] = [(E.encode(), E == GroupElement(secp, X), E.value)
+                             for E, X in zip(shared, points)]
+
+        _run_concurrently(run, [(slot,) for slot in range(len(results))])
+        assert results == [expected] * len(results)
+
+    def test_sums_and_negations_of_every_representation(self, secp):
+        rng = random.Random(102)
+        X, Y = _kernel_points()[:2]
+
+        def forms(point):
+            if point is None:
+                return [secp.identity(), GroupElement(secp, (3, 4, 0))]
+            return [GroupElement(secp, point),
+                    GroupElement(secp, _jacobian(point, rng.randrange(2, _P)))]
+
+        def minus(point):
+            return None if point is None else (point[0], _P - point[1])
+
+        for A, B in [(X, Y), (X, X), (X, minus(X)), (X, None), (None, None)]:
+            for a in forms(A):
+                for b in forms(B):
+                    assert (a + b).value == affine_add(A, B)
+                    assert (b + a).value == affine_add(A, B)
+                    assert (a - b).value == affine_add(A, minus(B))
+                    assert (-b).value == minus(B)
+
+
 def _off_curve_x(limit=1000):
     """Smallest x whose x^3+7 is a quadratic non-residue mod p."""
     for x in range(2, limit):
@@ -498,6 +576,13 @@ def _to_affine(X, Y, Z):
     return X * zi * zi % _P, Y * zi * zi * zi % _P
 
 
+def _normalized(value):
+    """The affine point, or None, of the Jacobian triple (or None) that
+    the multiplication paths (_mul_value, _mul_glv, _mul_wnaf and
+    _mul_fixed) return."""
+    return None if value is None else _to_affine(*value)
+
+
 def ladder_mul(k, point):
     """k*point by a 4-bit fixed window over a Jacobian table."""
     k %= _N
@@ -635,7 +720,7 @@ class TestGlvSplit:
         tables = group_module._odd_multiples(X)
         rng = random.Random(9)
         for k in [1, 2, 31, 2**128 - 1, _N - 1] + [rng.randrange(1, _N) for _ in range(8)]:
-            assert group_module._mul_wnaf(k, tables) == ladder_mul(k, X)
+            assert _normalized(group_module._mul_wnaf(k, tables)) == ladder_mul(k, X)
 
 
 @functools.cache
@@ -683,6 +768,43 @@ class TestMixedAdd:
         assert _to_affine(*group_module._jac_madd(*_jacobian(X, z), *Y)) == affine_add(X, Y)
 
 
+class TestJacobianAdd:
+    @_kernel_settings
+    @given(i=_point_index, offset=st.integers(1, 7), z1=_z, z2=_z)
+    @example(i=0, offset=1, z1=1, z2=1)
+    def test_distinct_inputs_match_affine(self, i, offset, z1, z2):
+        X, Y = _kernel_points()[i], _kernel_points()[(i + offset) % 8]
+        total = group_module._jac_add(*_jacobian(X, z1), *_jacobian(Y, z2))
+        assert _to_affine(*total) == affine_add(X, Y)
+
+    @_kernel_settings
+    @given(i=_point_index, z1=_z, z2=_z)
+    @example(i=0, z1=1, z2=1)
+    @example(i=0, z1=1, z2=_P - 1)
+    def test_equal_inputs_double(self, i, z1, z2):
+        X = _kernel_points()[i]
+        doubled = group_module._jac_add(*_jacobian(X, z1), *_jacobian(X, z2))
+        assert doubled[2] != 0
+        assert _to_affine(*doubled) == affine_add(X, X)
+
+    @_kernel_settings
+    @given(i=_point_index, z1=_z, z2=_z)
+    def test_opposite_inputs_give_identity(self, i, z1, z2):
+        X = _kernel_points()[i]
+        minus_X = (X[0], _P - X[1])
+        assert group_module._jac_add(*_jacobian(X, z1), *_jacobian(minus_X, z2))[2] == 0
+
+    @_kernel_settings
+    @given(i=_point_index, z=_z, x1=st.integers(0, _P - 1), y1=st.integers(0, _P - 1))
+    @example(i=0, z=1, x1=0, y1=1)
+    def test_identity_on_either_side(self, i, z, x1, y1):
+        # Z = 0 is the identity whatever X and Y hold
+        X = _jacobian(_kernel_points()[i], z)
+        assert group_module._jac_add(x1, y1, 0, *X) == X
+        assert group_module._jac_add(*X, x1, y1, 0) == X
+        assert group_module._jac_add(x1, y1, 0, 0, 1, 0)[2] == 0
+
+
 class TestJacobianDouble:
     @_kernel_settings
     @given(i=_point_index, z=_z)
@@ -721,10 +843,18 @@ class TestBatchAffine:
 
 class TestOddMultiplesTable:
     def test_entries_are_odd_multiples(self):
+        # entry m is the ladder's m*X = (x, y) as (u^2*x, u^3*y): the
+        # Jacobian (u^2*x, u^3*y, u) of the same point
+        def scaled(point, u):
+            x, y = point
+            return u * u * x % _P, u * u * u * y % _P
+
         for X in [_GEN] + _random_points(2, seed=31):
-            table, table_lambda = group_module._odd_multiples(X)
-            assert list(table) == [ladder_mul(m, X) for m in range(1, 16, 2)]
-            assert list(table_lambda) == [ladder_mul(m * _LAMBDA, X) for m in range(1, 16, 2)]
+            table, table_lambda, u = group_module._odd_multiples(X)
+            assert 0 < u < _P
+            assert list(table) == [scaled(ladder_mul(m, X), u) for m in range(1, 16, 2)]
+            assert list(table_lambda) == [scaled(ladder_mul(m * _LAMBDA, X), u)
+                                          for m in range(1, 16, 2)]
 
     def test_cache_is_bounded_and_hit(self, secp, table_builds):
         cache = group_module._promotion
@@ -755,8 +885,8 @@ class TestGlvAgainstLadder:
                 k = rng.randrange(_N)
                 expected = ladder_mul(k, X)
                 group_module._promotion.cache_clear()
-                assert secp._mul_value(k, X) == expected  # cold: odd multiples
-                assert secp._mul_value(k, X) == expected  # warm: promoted table
+                assert _normalized(secp._mul_value(k, X)) == expected  # cold: odd multiples
+                assert _normalized(secp._mul_value(k, X)) == expected  # warm: promoted table
 
     @pytest.mark.parametrize("k", EDGE_SCALARS)
     def test_edge_scalars(self, secp, prod, k):
@@ -777,7 +907,7 @@ class TestGlvAgainstLadder:
 
         def run(slot):
             start.wait(timeout=10)
-            results[slot] = [secp._mul_value(k, X) for k, X in work[slot]]
+            results[slot] = [_normalized(secp._mul_value(k, X)) for k, X in work[slot]]
 
         group_module._promotion.cache_clear()
         _run_concurrently(run, [(0,), (1,)])
@@ -810,7 +940,7 @@ def _digits_ok(k, w, digits):
 
 
 def _glv_of_generator(k):
-    return group_module._mul_glv(k % _N, _GEN) if k % _N else None
+    return _normalized(group_module._mul_glv(k % _N, _GEN)) if k % _N else None
 
 
 class TestGeneratorTable:
@@ -889,9 +1019,9 @@ class TestGeneratorTable:
         for _ in range(20):
             k = rng.randrange(1, _N)
             cache.cache_clear()
-            kG = secp._mul_value(k, _GEN)
+            kG = _normalized(secp._mul_value(k, _GEN))
             assert cache.cache_info().currsize == 0  # no GLV entry for G
-            k_neg_gen = secp._mul_value(k, neg_gen)
+            k_neg_gen = _normalized(secp._mul_value(k, neg_gen))
             assert cache.cache_info().currsize == 1  # -G takes the GLV path
             assert k_neg_gen == ladder_mul(k, neg_gen) == (kG[0], _P - kG[1])
 
@@ -939,7 +1069,7 @@ class TestGeneratorTable:
 
         def run(slot):
             start.wait(timeout=10)
-            results[slot] = [secp._mul_value(k, _GEN) for k in work[slot]]
+            results[slot] = [_normalized(secp._mul_value(k, _GEN)) for k in work[slot]]
 
         _run_concurrently(run, [(0,), (1,)])
         assert results == expected
@@ -1014,8 +1144,8 @@ class TestPromotedTable:
         g_table = group_module._load_g_table()
         for k in (1, 2, 2**64 + 3, _N - 1, _N - 2**64):
             assert group_module._glv_split(k)[1] == 0
-            assert group_module._mul_fixed(k, table, 7) == ladder_mul(k, X)
-            assert group_module._mul_fixed(k, g_table, 10) == ladder_mul(k, _GEN)
+            assert _normalized(group_module._mul_fixed(k, table, 7)) == ladder_mul(k, X)
+            assert _normalized(group_module._mul_fixed(k, g_table, 10)) == ladder_mul(k, _GEN)
 
     def test_promoted_table_holds_19_rows_of_64_points(self, secp):
         (X,) = _random_points(1, seed=80)
@@ -1036,7 +1166,7 @@ class TestPromotedTable:
                 group_module._promotion.cache_clear()
                 # odd multiples, then the promotion, then the promoted table
                 for _ in range(3):
-                    assert secp._mul_value(k, X) == expected
+                    assert _normalized(secp._mul_value(k, X)) == expected
 
     def test_promoted_once_on_the_second_use(self, secp, table_builds):
         X, Y = _random_points(2, seed=75)
@@ -1096,7 +1226,7 @@ class TestPromotedTable:
 
         def run(slot):
             start.wait(timeout=10)
-            results[slot] = [secp._mul_value(k, X) for k, X in work[slot]]
+            results[slot] = [_normalized(secp._mul_value(k, X)) for k, X in work[slot]]
 
         group_module._promotion.cache_clear()
         _run_concurrently(run, [(slot,) for slot in range(len(work))])
@@ -1105,7 +1235,7 @@ class TestPromotedTable:
         for built in table_builds.values():
             built.clear()
         for X in points:
-            assert secp._mul_value(11, X) == ladder_mul(11, X)
+            assert _normalized(secp._mul_value(11, X)) == ladder_mul(11, X)
         assert table_builds == {"_odd_multiples": [], "_fixed_window_rows": []}
 
     def test_threads_race_evictions_and_promotions(self, secp, table_builds):

@@ -357,6 +357,53 @@ class TestDirectionTable:
         assert calls == [f"{mode}_signcrypt", f"{mode}_unsigncrypt"]
 
 
+class TestInversionCounts:
+    """Field inversions per call on secp256k1, once the keys are affine
+    and Ppub and the peers' points are promoted.  A product or a sum is
+    made affine only where it is encoded, hashed or multiplied, and the
+    first use of a point (V - d*P in PCHS, V in CPHS) inverts nothing."""
+
+    def _counted(self, inversions, fn, *args):
+        inversions.clear()
+        result = fn(*args)
+        return result, len(inversions)
+
+    def test_signcrypt_encode_and_unsigncrypt(self, prod, rng, inversions):
+        params, alice, bob = prod.params, prod.alice, prod.bob
+        calls = {
+            "pchs": (lambda m: pchs_signcrypt(params, alice, b"server", bob.public, m, rng),
+                     lambda sigma: pchs_unsigncrypt(params, bob, alice.PK_p, sigma)),
+            "cphs": (lambda m: cphs_signcrypt(params, bob, alice.PK_p, m, rng),
+                     lambda sigma: cphs_unsigncrypt(params, alice, b"server", bob.public, sigma)),
+        }
+        seen = {}
+        for mode, (sign, unsign) in calls.items():
+            for _ in range(2):  # Ppub, the peers' points and CPHS's Q promoted
+                unsign(sign(b"warm-up"))
+            sigma, signed = self._counted(inversions, sign, b"m" * 32)
+            _, encoded = self._counted(inversions, sigma.V.encode)
+            m, unsigned = self._counted(inversions, unsign, sigma)
+            assert m == b"m" * 32
+            seen[mode] = signed, encoded, unsigned
+        # R1 and R2 are hashed; V is affine once encoded; the receiver
+        # multiplies one sum (PCHS V - d*P, CPHS Q) and hashes R1 and R2
+        assert seen == {"pchs": (2, 1, 3), "cphs": (2, 1, 3)}
+
+    def test_key_generation_with_public_encodings(self, prod, rng, inversions):
+        params, master = prod.params, prod.master
+        for _ in range(2):  # Ppub affine and promoted
+            keys.clc_keygen(params, master, b"warm-up", rng)
+        bob, clc_made = self._counted(inversions, keys.clc_keygen, params, master,
+                                      b"device", rng)
+        _, clc_encoded = self._counted(inversions, lambda: (bob.T.encode(), bob.PK_c1.encode()))
+        alice, pki_made = self._counted(inversions, keys.pki_keygen, params, rng)
+        _, pki_encoded = self._counted(inversions, alice.PK_p.encode)
+        # H1 hashes T, and the partial key's check compares without
+        # inverting; PK_c1 and PK_p are made affine when encoded
+        assert (clc_made, clc_encoded) == (1, 1)
+        assert (pki_made, pki_encoded) == (0, 1)
+
+
 class TestMessageBounds:
     def test_empty_message_rejected(self, prod, rng):
         with pytest.raises(MessageSizeError):
