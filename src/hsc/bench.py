@@ -17,8 +17,9 @@ secp256k1 three more rows time the point kernels themselves, a Jacobian
 doubling, a mixed Jacobian-affine addition and a Jacobian-Jacobian
 addition, two the tables: reading,
 checking and parsing the generator's table file, and building one
-promoted point's table, and one the start of a CLI process: a fresh
-interpreter imports hsc.cli and reports that import's time by its own
+promoted point's table, and two the start of a process: a fresh
+interpreter imports hsc.cli, as every CLI process does, or hsc.netdemo,
+as every demo process does, and reports that import's time by its own
 clock.  Operation counts come from scoped counters
 around one invocation of each algorithm -- measured, never hardcoded.
 
@@ -49,8 +50,8 @@ import statistics
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .group import (GroupElement, OpCounter, Secp256k1Group, _GLV_ROWS, _GLV_WIDTH, _P,
                     _decompress, _fixed_window_rows, _jac_add, _jac_double, _jac_madd,
@@ -75,8 +76,7 @@ CSV_COLUMNS = [
 _BENCH_IDENTITY = b"bench-clc-user"
 
 
-@dataclass
-class OpTiming:
+class OpTiming(NamedTuple):
     """One row's samples over all passes (mean_s, median_s) and the
     median and interquartile range of its per-pass means."""
 
@@ -89,15 +89,19 @@ class OpTiming:
     pass_iqr_s: float = 0.0
 
 
-@dataclass
 class BenchReport:
-    """Timings plus the per-algorithm operation-count table."""
+    """Timings plus the per-algorithm operation-count table.  This and
+    OpTiming are not dataclasses, so that a bench process does not
+    import ``dataclasses`` and the ``inspect`` it pulls in."""
 
-    group_name: str
-    timings: list[OpTiming] = field(default_factory=list)
-    op_counts: dict[str, OpCounter] = field(default_factory=dict)
-    # seconds the host-speed reference took before each pass
-    reference_s: list[float] = field(default_factory=list)
+    __slots__ = ("group_name", "timings", "op_counts", "reference_s")
+
+    def __init__(self, group_name: str) -> None:
+        self.group_name = group_name
+        self.timings: list[OpTiming] = []
+        self.op_counts: dict[str, OpCounter] = {}
+        # seconds the host-speed reference took before each pass
+        self.reference_s: list[float] = []
 
     def timing(self, name: str) -> OpTiming:
         for t in self.timings:
@@ -215,23 +219,25 @@ def _time_loop(fn, inputs) -> list[float]:
     return samples
 
 
-# a child interpreter times its own import of the hsc package beside this
-# module (argv[1] is the directory that holds it) and prints the seconds
-_CLI_IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
-               "t0 = time.perf_counter(); import hsc.cli; print(time.perf_counter() - t0)")
+# a child interpreter times its own import of a module of the hsc package
+# beside this module (argv[1] is the directory that holds the package,
+# argv[2] the module) and prints the seconds
+_IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+           "t0 = time.perf_counter(); __import__(sys.argv[2]); print(time.perf_counter() - t0)")
 
 
-def _cli_import_s() -> float:
-    """Seconds a fresh interpreter takes to import hsc.cli, the start of
-    every CLI process, by the child's own clock."""
+def _import_s(module: str) -> float:
+    """Seconds a fresh interpreter takes to import `module` of this hsc,
+    by the child's own clock: hsc.cli starts every CLI process, and
+    hsc.netdemo every demo process."""
     out = subprocess.run(
-        [sys.executable, "-c", _CLI_IMPORT, str(Path(__file__).resolve().parents[1])],
+        [sys.executable, "-c", _IMPORT, str(Path(__file__).resolve().parents[1]), module],
         capture_output=True, text=True, check=True).stdout
     return float(out)
 
 
 # rows whose function returns its own sample instead of being timed
-_SELF_TIMED = {"cli_import"}
+_SELF_TIMED = {"cli_import", "demo_import"}
 
 
 def _reference_task() -> None:
@@ -286,10 +292,10 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     `scalar_mult_fixed`, `scalar_mult_repeat`, `group_add`,
     `hash_to_scalar`, `decode_element`, `decode_element_repeat`, and on
     secp256k1 `jac_double`, `jac_madd`, `jac_add`, `load_g_table`,
-    `promotion_build` and `cli_import`); the other rows, the algorithm
-    rows and the op counts are then skipped.  The two table rows and
-    `cli_import` take milliseconds per call, so like the algorithms they
-    run `algo_iterations` times.
+    `promotion_build`, `cli_import` and `demo_import`); the other rows,
+    the algorithm rows and the op counts are then skipped.  The two table
+    rows and the two import rows take milliseconds per call, so like the
+    algorithms they run `algo_iterations` times.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -376,7 +382,8 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
             # the table a point gets on its second multiplication
             ("promotion_build", _fixed_window_rows,
              [(pick(i).value, _GLV_ROWS, _GLV_WIDTH) for i in range(algo_iterations)]),
-            ("cli_import", _cli_import_s, [() for _ in range(algo_iterations)]),
+            ("cli_import", _import_s, [("hsc.cli",)] * algo_iterations),
+            ("demo_import", _import_s, [("hsc.netdemo",)] * algo_iterations),
         ]
 
     def warm_ppub():

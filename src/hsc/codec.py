@@ -243,8 +243,8 @@ def decode_params(data: bytes) -> SystemParams:
     r.finish()
     if P.is_identity():
         raise CodecError("generator must not be the identity")
-    if n <= 0:
-        raise CodecError("message cap n must be positive")
+    if n < 8:
+        raise CodecError(f"message cap n must be at least 8 bits, got {n}")
     return SystemParams(group=group, P=P, Ppub=Ppub, n=n)
 
 

@@ -129,6 +129,9 @@ def setup(
     # the width of the params file's n field
     if not 0 < n < 2**32:
         raise ValueError(f"message cap n must be in 1..{2**32 - 1}, got {n}")
+    # messages are whole bytes: below 8 bits the cap is 0 bytes
+    if n < 8:
+        raise ValueError(f"message cap n must be at least 8 bits, got {n}")
     s = group.random_scalar(rng)
     P = group.generator()
     Ppub = s * P

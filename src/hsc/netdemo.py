@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 import logging
 import socket
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import codec
@@ -85,17 +84,21 @@ class SessionState(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass
 class DemoSession:
     """One peer's view of a session: protocol state, the peer's public
-    material, and the ordered frame transcript."""
+    material, and the ordered frame transcript.  A plain class, not a
+    dataclass, so that no demo process imports ``dataclasses`` and the
+    ``inspect`` it pulls in."""
 
-    role: Role
-    state: SessionState = SessionState.START
-    frames: list[Frame] = field(default_factory=list)
-    outcome: str = OK
-    plaintext: Optional[bytes] = None
-    peer_key: Any = None  # the peer's decoded public export
+    __slots__ = ("role", "state", "frames", "outcome", "plaintext", "peer_key")
+
+    def __init__(self, role: Role) -> None:
+        self.role = role
+        self.state = SessionState.START
+        self.frames: list[Frame] = []
+        self.outcome = OK
+        self.plaintext: Optional[bytes] = None
+        self.peer_key: Any = None  # the peer's decoded public export
 
     def record(self, frame: Frame) -> Frame:
         self.frames.append(frame)

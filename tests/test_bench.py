@@ -39,6 +39,17 @@ class TestReportShape:
     def test_group_name(self, toy_report):
         assert toy_report.group_name == "toy-101"
 
+    def test_timing_defaults_to_one_pass_without_spread(self):
+        t = bench.OpTiming("row", 3, 0.5, 0.25)
+        assert (t.passes, t.pass_median_s, t.pass_iqr_s) == (1, 0.0, 0.0)
+        assert t == ("row", 3, 0.5, 0.25, 1, 0.0, 0.0)
+
+    def test_a_new_report_holds_nothing_of_another(self):
+        a, b = bench.BenchReport("toy-13"), bench.BenchReport("toy-13")
+        assert (a.timings, a.op_counts, a.reference_s) == ([], {}, [])
+        assert a.timings is not b.timings and a.op_counts is not b.op_counts
+        assert a.reference_s is not b.reference_s
+
     def test_rejects_zero_iterations(self):
         params, _ = keys.setup("toy-13", rng=random.Random(1))
         with pytest.raises(ValueError):
@@ -212,7 +223,8 @@ class TestRepeatedPasses:
 
 class TestKernelRows:
     """secp256k1 adds a row for each point kernel, two for its tables and
-    one for a CLI process's import; toy groups have none."""
+    two for the imports that start a CLI and a demo process; toy groups
+    have none."""
 
     def test_secp256k1_times_the_kernels(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -224,12 +236,12 @@ class TestKernelRows:
                 if r["record"] == "timing"]
         assert [r["name"] for r in rows] == EXPECTED_OPS[:7] + [
             "jac_double", "jac_madd", "jac_add", "load_g_table", "promotion_build",
-            "cli_import"] + EXPECTED_OPS[7:]
+            "cli_import", "demo_import"] + EXPECTED_OPS[7:]
         for row in rows[7:10]:
             assert row["iterations"] == 20 and float(row["mean_s"]) > 0
-        # the table rows and cli_import run as often as the algorithms:
-        # 20 // 100, at least 1
-        for row in rows[10:13]:
+        # the table rows and the import rows run as often as the
+        # algorithms: 20 // 100, at least 1
+        for row in rows[10:14]:
             assert row["iterations"] == 1 and float(row["mean_s"]) > 0
 
     def test_cli_import_row_imports_this_hsc(self, tmp_path, monkeypatch):
@@ -238,11 +250,17 @@ class TestKernelRows:
         (tmp_path / "hsc").mkdir()
         (tmp_path / "hsc" / "__init__.py").write_text("raise ImportError('decoy')\n")
         monkeypatch.chdir(tmp_path)
+        imported = []
+        import_s = bench._import_s
+        monkeypatch.setattr(bench, "_import_s",
+                            lambda module: imported.append(module) or import_s(module))
         params, _ = keys.setup("secp256k1", rng=random.Random(5))
         report = bench_run(params, iterations=8, algo_iterations=2, rng=random.Random(6),
-                           rows=("cli_import",))
-        [row] = report.timings
-        assert (row.name, row.iterations) == ("cli_import", 2) and row.mean_s > 0
+                           rows=("demo_import", "cli_import"))
+        assert [(t.name, t.iterations) for t in report.timings] == \
+            [("cli_import", 2), ("demo_import", 2)]
+        assert all(t.mean_s > 0 for t in report.timings)
+        assert imported == ["hsc.cli"] * 2 + ["hsc.netdemo"] * 2
 
     def test_rows_filter_selects_them(self):
         params, _ = keys.setup("secp256k1", rng=random.Random(5))

@@ -245,6 +245,15 @@ class TestFileHygiene:
         assert len(result.stderr.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_setup_n_below_one_byte_exits_2(self, tmp_path):
+        result = run(["setup", "--group", "toy-13", "--msg-bits", "7", "--params", "p.hsc",
+                      "--out", "m.hsc"], tmp_path, expect=2)
+        assert result.stderr == "ERROR usage: message cap n must be at least 8 bits, got 7\n"
+        assert list(tmp_path.iterdir()) == []
+        run(["setup", "--group", "toy-13", "--msg-bits", "8", "--params", "p.hsc",
+             "--out", "m.hsc"], tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["m.hsc", "p.hsc"]
+
     def test_setup_writes_no_params_when_the_master_key_exists(self, tmp_path):
         (tmp_path / "m.hsc").write_bytes(b"keep")
         result = run(["setup", "--group", "toy-101", "--params", "p.hsc",

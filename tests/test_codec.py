@@ -178,6 +178,17 @@ class TestParamsFile:
             with pytest.raises(CodecError, match="security parameter"):
                 codec.decode_params(data[:17] + l.to_bytes(2, "big") + data[19:])
 
+    def test_message_cap_below_one_byte(self, toy_params):
+        # header (13 bytes for toy-13), then n (4): 7 bits caps messages
+        # at 0 bytes, so no ciphertext could be made or accepted
+        params, _ = toy_params
+        data = codec.encode_params(params)
+        assert data[13:17] == (32).to_bytes(4, "big")
+        for n in (0, 1, 7):
+            with pytest.raises(CodecError, match="at least 8 bits"):
+                codec.decode_params(data[:13] + n.to_bytes(4, "big") + data[17:])
+        assert codec.decode_params(data[:13] + (8).to_bytes(4, "big") + data[17:]).n == 8
+
     def test_trailing_garbage(self, prod):
         with pytest.raises(CodecError):
             codec.decode_params(codec.encode_params(prod.params) + b"\x00")

@@ -3,9 +3,12 @@ private name of the library goes unread by the library or the scripts
 beside it.  No linter ships with the test dependencies, so this reads
 the source with `ast`.  The package's `__init__.py` re-exports names and
 is not checked for unused imports; an import line marked `# noqa` is
-skipped."""
+skipped.  The demo and bench modules load neither `dataclasses` nor the
+`inspect` it pulls in."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,14 @@ def test_the_check_finds_an_unread_private_name():
     assert _unread_private_names(sources) == ["a._UNUSED", "a._Unused", "a._dead"]
     assert _unread_private_names(sources, ["import a\na._dead()\n"]) == \
         ["a._UNUSED", "a._Unused"]
+
+
+@pytest.mark.parametrize("module", ["hsc.netdemo", "hsc.bench"])
+def test_demo_and_bench_load_no_dataclasses(module):
+    # a fresh interpreter, as a serve, client or bench process starts
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); __import__(sys.argv[2]); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code, str(SRC.parent), module],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]"]

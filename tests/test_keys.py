@@ -32,6 +32,14 @@ class TestSetup:
         with pytest.raises(ValueError):
             keys.setup("toy-13", n=0)
 
+    def test_rejects_a_cap_below_one_byte(self):
+        # messages are whole bytes: n = 1..7 would cap them at 0 bytes
+        for n in range(1, 8):
+            with pytest.raises(ValueError, match="at least 8 bits, got"):
+                keys.setup("toy-13", n=n)
+        params, _ = keys.setup("toy-13", n=8)
+        assert params.max_message_bytes == 1
+
     def test_copy_takes_its_own_oracles(self, toy13):
         params = copy.copy(toy13.params)
         assert (params.group, params.P, params.Ppub, params.n) == \

@@ -11,6 +11,7 @@ from hsc import cli, codec, keys, netdemo
 from hsc.codec import Frame, FrameType
 from hsc.netdemo import (
     DemoServer,
+    DemoSession,
     Role,
     SessionState,
     STATUS_CLIENT_DONE,
@@ -40,6 +41,22 @@ def _run_session(params, server_key, client_key, message, mode, client_hook=None
         thread.join(timeout=10.0)
         server.close()
     return box["server"], box["client"]
+
+
+class TestDemoSession:
+    def test_a_new_session_starts_empty(self):
+        session = DemoSession(Role.SERVER)
+        assert session.role is Role.SERVER
+        assert session.state is SessionState.START
+        assert session.outcome == netdemo.OK
+        assert session.plaintext is None and session.peer_key is None
+        assert session.frames == [] and session.format_transcript() == ""
+
+    def test_each_session_has_its_own_frames(self):
+        a, b = DemoSession(Role.CLIENT), DemoSession(Role.SERVER)
+        assert a.frames is not b.frames
+        frame = a.record(Frame(type_tag=FrameType.STATUS, payload=b"x"))
+        assert a.frames == [frame] and b.frames == []
 
 
 class TestHonestSessions:
