@@ -22,59 +22,10 @@ Submodules: ``group`` (the prime-order groups), ``hashing`` (the three
 oracles), ``keys``, ``signcryption`` (both directions, and the table
 ``DIRECTIONS`` that describes each once), ``codec`` (byte formats and
 frames), ``netdemo`` (TCP client/server demo), ``bench``, ``cli``.
-Importing ``hsc`` loads neither ``netdemo`` nor ``bench``.
+Importing ``hsc`` loads none of them: import the submodule you use.
 
 Research-grade code: arithmetic is not constant-time and the demo's key
 exchange is unauthenticated.
 """
 
-from .group import (
-    GroupDescriptor,
-    GroupElement,
-    OpCounter,
-    Scalar,
-    Secp256k1Group,
-    ToyGroup,
-    make_group,
-)
-from .hashing import HashOracles
-from .keys import (
-    ClcKeyPair,
-    ClcPartialKey,
-    ClcPublicKey,
-    MasterKey,
-    PkiKeyPair,
-    SystemParams,
-    clc_extract_partial,
-    clc_finalize,
-    clc_finalize_random,
-    clc_keygen,
-    pki_keygen,
-    setup,
-    verify_partial_key,
-)
-from .signcryption import (
-    Ciphertext,
-    Direction,
-    RejectedCiphertext,
-    cphs_signcrypt,
-    cphs_unsigncrypt,
-    pchs_signcrypt,
-    pchs_unsigncrypt,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "GroupDescriptor", "GroupElement", "OpCounter", "Scalar",
-    "Secp256k1Group", "ToyGroup", "make_group",
-    "HashOracles",
-    "ClcKeyPair", "ClcPartialKey", "ClcPublicKey", "MasterKey",
-    "PkiKeyPair", "SystemParams",
-    "clc_extract_partial", "clc_finalize", "clc_finalize_random", "clc_keygen",
-    "pki_keygen", "setup", "verify_partial_key",
-    "Ciphertext", "Direction", "RejectedCiphertext",
-    "cphs_signcrypt", "cphs_unsigncrypt",
-    "pchs_signcrypt", "pchs_unsigncrypt",
-    "__version__",
-]

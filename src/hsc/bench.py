@@ -33,16 +33,14 @@ those times, so runs made in separate processes, such as a parent and a
 change, can be checked for a host that changed speed between them.
 
 Absolute times are hardware-dependent and not comparable across machines;
-consumers should assert orderings and ratios only.  The machine-readable
-rows have a fixed column set so CI can diff runs; the JSON form carries
-the same rows plus the Python version, core count and git commit.
+consumers should assert orderings and ratios only.  The JSON report
+holds rows with a fixed column set, so runs can be diffed, under a
+`meta` object with the Python version, core count and git commit.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import os
 import platform
@@ -65,13 +63,6 @@ from .keys import (
     setup,
 )
 from .signcryption import DIRECTIONS
-
-CSV_COLUMNS = [
-    "record", "group", "name", "iterations",
-    "mean_s", "median_s",
-    "scalar_mults", "group_adds", "hash_calls",
-    "passes", "pass_median_s", "pass_iqr_s",
-]
 
 _BENCH_IDENTITY = b"bench-clc-user"
 
@@ -131,15 +122,8 @@ class BenchReport:
             })
         return out
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(self.rows())
-        return buf.getvalue()
-
     def to_json(self) -> str:
-        """The CSV rows, as JSON objects, under the run's `meta`."""
+        """The rows, as JSON objects, under the run's `meta`."""
         meta = {
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),

@@ -211,16 +211,18 @@ def _cmd_client(args) -> int:
 def _cmd_bench(args) -> int:
     from . import bench
 
+    # one generator for the setup and the run: under HSC_SEED a second
+    # _rng() would replay the setup's stream, and the bench's first pool
+    # point would be s*P, which is Ppub
+    rng = _rng()
     if args.params is not None:
         params = _load_params(args.params)
     else:
-        params, _ = keys.setup("secp256k1", rng=_rng())
-    _refuse_existing(args.force, args.out, args.json)
-    report = bench.bench_run(params, iterations=args.iters, rng=_rng(), repeat=args.repeat)
+        params, _ = keys.setup("secp256k1", rng=rng)
+    # refuse an existing report before the run, not after it
+    _refuse_existing(args.force, args.json)
+    report = bench.bench_run(params, iterations=args.iters, rng=rng, repeat=args.repeat)
     print(report.table())
-    if args.out is not None:
-        _write(args.out, report.to_csv().encode(), args.force)
-        print(f"csv rows -> {args.out}")
     if args.json is not None:
         _write(args.json, report.to_json().encode(), args.force)
         print(f"json report -> {args.json}")
@@ -327,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=1,
                    help="interleaved passes over the rows; each row reports the median "
                         "and interquartile range of its pass means (default 1)")
-    p.add_argument("--out", help="write machine-readable CSV here")
-    p.add_argument("--json", help="write the CSV rows and run metadata as JSON here")
+    p.add_argument("--json", help="write the rows and run metadata as JSON here")
     p.add_argument("--force", action="store_true")
 
     return parser

@@ -1,7 +1,5 @@
-"""Benchmark harness: measured op counts, report structure, CSV schema."""
+"""Benchmark harness: measured op counts, report structure, JSON schema."""
 
-import csv
-import io
 import json
 import os
 import random
@@ -9,7 +7,15 @@ import random
 import pytest
 
 from hsc import bench, cli, group, keys
-from hsc.bench import CSV_COLUMNS, bench_run, git_commit
+from hsc.bench import bench_run, git_commit
+
+# the fixed columns of every row of the JSON report, in order
+COLUMNS = [
+    "record", "group", "name", "iterations",
+    "mean_s", "median_s",
+    "scalar_mults", "group_adds", "hash_calls",
+    "passes", "pass_median_s", "pass_iqr_s",
+]
 
 EXPECTED_OPS = [
     "scalar_mult", "scalar_mult_fixed", "scalar_mult_repeat", "group_add",
@@ -186,19 +192,17 @@ class TestRepeatedPasses:
             assert t.passes == 1 and t.pass_iqr_s == 0.0
             assert t.pass_median_s == pytest.approx(t.mean_s)
 
-    def test_every_row_in_csv_and_json(self):
+    def test_every_row_in_json(self):
         params, _ = keys.setup("toy-101", n=64, rng=random.Random(8))
         report = bench_run(params, iterations=20, algo_iterations=2,
                            rng=random.Random(9), repeat=3)
         assert [t.name for t in report.timings] == EXPECTED_OPS
-        timing_rows = [r for r in csv.DictReader(io.StringIO(report.to_csv()))
-                       if r["record"] == "timing"]
-        assert len(timing_rows) == len(EXPECTED_OPS)
-        for row in timing_rows:
-            assert row["passes"] == "3"
-            assert float(row["pass_median_s"]) > 0 and float(row["pass_iqr_s"]) >= 0
         data = json.loads(report.to_json())
-        assert data["rows"][0]["passes"] == 3
+        timing_rows = [r for r in data["rows"] if r["record"] == "timing"]
+        assert [r["name"] for r in timing_rows] == EXPECTED_OPS
+        for row in timing_rows:
+            assert row["passes"] == 3
+            assert float(row["pass_median_s"]) > 0 and float(row["pass_iqr_s"]) >= 0
         # the host-speed reference, timed once before each pass
         assert len(data["meta"]["reference_s"]) == 3
         assert all(t > 0 for t in data["meta"]["reference_s"])
@@ -214,9 +218,9 @@ class TestRepeatedPasses:
         assert cli.main(["setup", "--group", "toy-101", "--params", "p.hsc",
                          "--out", "m.hsc"]) == 0
         assert cli.main(["bench", "--params", "p.hsc", "--iters", "20",
-                         "--repeat", "2", "--out", "r.csv"]) == 0
-        rows = list(csv.DictReader(io.StringIO((tmp_path / "r.csv").read_text())))
-        assert {r["passes"] for r in rows if r["record"] == "timing"} == {"2"}
+                         "--repeat", "2", "--json", "r.json"]) == 0
+        rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+        assert {r["passes"] for r in rows if r["record"] == "timing"} == {2}
         assert cli.main(["bench", "--params", "p.hsc", "--iters", "20",
                          "--repeat", "0"]) == 2
 
@@ -337,8 +341,8 @@ class TestMeasuredOpCounts:
 
 class TestMachineReadableRows:
     def test_stable_schema(self, toy_report):
-        parsed = list(csv.DictReader(io.StringIO(toy_report.to_csv())))
-        assert list(parsed[0].keys()) == CSV_COLUMNS
+        parsed = json.loads(toy_report.to_json())["rows"]
+        assert all(list(row) == COLUMNS for row in parsed)
         kinds = {row["record"] for row in parsed}
         assert kinds == {"timing", "opcount"}
 
@@ -359,12 +363,17 @@ class TestMachineReadableRows:
 
 
 class TestJsonReport:
-    def test_json_holds_every_csv_row(self, toy_report):
+    def test_json_holds_every_row(self, toy_report):
         data = json.loads(toy_report.to_json())
-        csv_rows = list(csv.DictReader(io.StringIO(toy_report.to_csv())))
-        json_rows = [{k: str(v) for k, v in row.items()} for row in data["rows"]]
-        assert json_rows == csv_rows
-        assert list(data["rows"][0]) == CSV_COLUMNS
+        assert data["rows"] == toy_report.rows()
+        # times are strings with nine decimals; an op-count row leaves them empty
+        timing = data["rows"][0]
+        assert timing["record"] == "timing"
+        assert all(isinstance(timing[k], str) and len(timing[k].partition(".")[2]) == 9
+                   for k in ("mean_s", "median_s", "pass_median_s", "pass_iqr_s"))
+        opcount = data["rows"][-1]
+        assert opcount["record"] == "opcount"
+        assert opcount["mean_s"] == opcount["passes"] == ""
 
     def test_meta(self, toy_report):
         meta = json.loads(toy_report.to_json())["meta"]
@@ -383,6 +392,35 @@ class TestJsonReport:
         names = {(r["record"], r["name"]) for r in data["rows"]}
         assert ("timing", "scalar_mult") in names
         assert ("opcount", "cphs_unsigncrypt") in names
+
+
+class TestSeededCommand:
+    def test_setup_and_run_share_one_generator(self, monkeypatch, capsys):
+        # under HSC_SEED a generator made afresh for the run would replay
+        # the setup's stream: the bench's first pool point would be s*P,
+        # which is Ppub
+        monkeypatch.setenv("HSC_SEED", "7")
+        seen = {}
+        real_setup = keys.setup
+
+        def spy_setup(*args, rng=None, **kwargs):
+            seen["setup_rng"] = rng
+            seen["params"], _ = result = real_setup(*args, rng=rng, **kwargs)
+            return result
+
+        def spy_run(params, *args, rng=None, **kwargs):
+            seen["run_rng"] = rng
+            # the draw bench_run makes first, for its first pool point
+            seen["first_pool_point"] = params.group.random_scalar(rng) * params.P
+            return bench.BenchReport(params.group.descriptor.name)
+
+        monkeypatch.setattr(keys, "setup", spy_setup)
+        monkeypatch.setattr(bench, "bench_run", spy_run)
+        assert cli.main(["bench", "--iters", "20"]) == 0
+        assert "group: secp256k1" in capsys.readouterr().out
+        assert isinstance(seen["setup_rng"], random.Random)
+        assert seen["run_rng"] is seen["setup_rng"]
+        assert seen["first_pool_point"] != seen["params"].Ppub
 
 
 class TestGitCommit:

@@ -1,6 +1,7 @@
 """CLI end-to-end through subprocesses: lifecycle, exit codes, file
 hygiene, and seeded reproducibility."""
 
+import json
 import os
 import subprocess
 import sys
@@ -263,26 +264,22 @@ class TestFileHygiene:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["m.hsc"]
         assert (tmp_path / "m.hsc").read_bytes() == b"keep"
 
-    def test_bench_writes_no_csv_when_the_json_exists(self, tmp_path):
+    def test_bench_refuses_an_existing_json_before_it_runs(self, tmp_path):
         run(["setup", "--group", "toy-101", "--params", "p.hsc",
              "--out", "m.hsc"], tmp_path)
         (tmp_path / "r.json").write_bytes(b"keep")
         result = run(["bench", "--params", "p.hsc", "--iters", "20",
-                      "--out", "r.csv", "--json", "r.json"], tmp_path, expect=4)
+                      "--json", "r.json"], tmp_path, expect=4)
         assert result.stderr == "ERROR io: r.json exists; pass --force to overwrite\n"
-        assert not (tmp_path / "r.csv").exists()
+        assert result.stdout == ""
         assert (tmp_path / "r.json").read_bytes() == b"keep"
 
     @pytest.mark.parametrize("force", [[], ["--force"]])
     @pytest.mark.parametrize("command,outputs", [
         (["setup", "--group", "toy-101"], ["--params", "a.hsc", "--out", "./a.hsc"]),
-        (["bench", "--params", "p.hsc", "--iters", "20"], ["--out", "r", "--json", "r"]),
     ])
     def test_two_outputs_naming_one_file_exit_2(self, tmp_path, command, outputs, force):
         # force or not, one of the two outputs would be lost
-        if command[0] == "bench":
-            run(["setup", "--group", "toy-101", "--params", "p.hsc",
-                 "--out", "m.hsc"], tmp_path)
         before = sorted(path.name for path in tmp_path.iterdir())
         result = run(command + outputs + force, tmp_path, expect=2)
         first, second = outputs[1], outputs[3]
@@ -385,15 +382,20 @@ class TestDegenerateClcKeyFile:
 
 
 class TestBenchCommand:
-    def test_bench_emits_table_and_csv(self, tmp_path):
+    def test_bench_emits_table_and_json(self, tmp_path):
         run(["setup", "--group", "toy-101", "--params", "p.hsc",
              "--out", "m.hsc"], tmp_path)
         result = run(["bench", "--params", "p.hsc", "--iters", "50",
-                      "--out", "report.csv"], tmp_path)
+                      "--json", "report.json"], tmp_path)
         assert "scalar_mult" in result.stdout
-        csv_text = (tmp_path / "report.csv").read_text()
-        assert csv_text.startswith("record,group,name,iterations")
-        assert "opcount" in csv_text
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert list(rows[0])[:4] == ["record", "group", "name", "iterations"]
+        assert "opcount" in {row["record"] for row in rows}
+
+    def test_bench_has_no_csv_output(self, tmp_path):
+        result = run(["bench", "--iters", "20", "--out", "x"], tmp_path, expect=2)
+        assert result.stderr == "ERROR usage: hsc: unrecognized arguments: --out x\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestServeClientCommands:

@@ -189,6 +189,15 @@ class TestParamsFile:
                 codec.decode_params(data[:13] + n.to_bytes(4, "big") + data[17:])
         assert codec.decode_params(data[:13] + (8).to_bytes(4, "big") + data[17:]).n == 8
 
+    def test_generator_is_the_identity(self, toy_params):
+        # header (13 bytes for toy-13), n (4), l (2), q (1), then P (1)
+        params, _ = toy_params
+        data = codec.encode_params(params)
+        assert data[20:21] == params.group.encode_element(params.P)
+        identity = params.group.encode_element(params.group.identity())
+        with pytest.raises(CodecError, match="generator must not be the identity"):
+            codec.decode_params(data[:20] + identity + data[21:])
+
     def test_trailing_garbage(self, prod):
         with pytest.raises(CodecError):
             codec.decode_params(codec.encode_params(prod.params) + b"\x00")
@@ -230,6 +239,10 @@ class TestKeyFiles:
             codec.encode_pki_keypair(prod.params, prod.alice)) == codec.FileKind.PKI_KEY
         with pytest.raises(HeaderError):
             codec.file_kind(b"NOPE" + b"\x00" * 8)
+        # the magic (4 bytes) and the version (1), then the kind byte
+        data = codec.encode_params(prod.params)
+        with pytest.raises(HeaderError, match="unknown file kind 0x7f"):
+            codec.file_kind(data[:5] + b"\x7f" + data[6:])
 
 
 class TestZeroSecretScalars:

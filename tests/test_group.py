@@ -509,6 +509,12 @@ class TestRegistry:
             make_group("p256")
         with pytest.raises(ValueError):
             make_group("toy-12")
+        # no factor up to 37, so Miller-Rabin decides: 1763 = 41 * 43 fails
+        # to base 2, and 3215031751 = 151 * 751 * 28351 is a strong
+        # pseudoprime to bases 2, 3, 5 and 7 whose witness is 11
+        for name in ("toy-1763", "toy-3215031751"):
+            with pytest.raises(ValueError, match="must be prime"):
+                make_group(name)
         with pytest.raises(ValueError):
             make_group("toy-abc")
         # int() takes each of these, but none is the group's own name

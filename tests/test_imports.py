@@ -1,17 +1,19 @@
 """No library module imports a name it never uses, and no module-level
 private name of the library goes unread by the library or the scripts
 beside it.  No linter ships with the test dependencies, so this reads
-the source with `ast`.  The package's `__init__.py` re-exports names and
-is not checked for unused imports; an import line marked `# noqa` is
-skipped.  The demo and bench modules load neither `dataclasses` nor the
-`inspect` it pulls in."""
+the source with `ast`; an import line marked `# noqa` is skipped.  The
+demo and bench modules load neither `dataclasses` nor the `inspect` it
+pulls in, and the package docstring's quick start runs as written."""
 
 import ast
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+
+import hsc
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hsc"
@@ -32,8 +34,7 @@ def _unused_imports(source):
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", [path for path in sorted(SRC.glob("*.py"))
-                                  if path.name != "__init__.py"], ids=lambda path: path.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
@@ -111,3 +112,16 @@ def test_demo_and_bench_load_no_dataclasses(module):
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]"]
+
+
+def test_package_quick_start_runs():
+    # the indented block after "Quick start::", up to the next unindented line
+    _, _, rest = hsc.__doc__.partition("Quick start::\n")
+    block = []
+    for line in rest.splitlines():
+        if line and not line.startswith(" "):
+            break
+        block.append(line)
+    code = textwrap.dedent("\n".join(block))
+    assert "signcryption.pchs_unsigncrypt" in code
+    exec(compile(code, "hsc quick start", "exec"), {})

@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 
 from hsc import cli, codec, keys, netdemo
-from hsc.codec import Frame, FrameType
+from hsc.codec import MAX_FRAME_PAYLOAD, Frame, FrameType
 from hsc.netdemo import (
     DemoServer,
     DemoSession,
@@ -18,6 +18,7 @@ from hsc.netdemo import (
     STATUS_FAILED,
     STATUS_SUCCESS,
 )
+from hsc.signcryption import pchs_signcrypt
 
 
 def _run_session(params, server_key, client_key, message, mode, client_hook=None):
@@ -107,7 +108,6 @@ class TestAbortPaths:
                     FrameType.CLIENT_KEY,
                     codec.encode_pki_public(params, prod.alice.PK_p)))
                 codec.read_frame(rfile)  # server key
-                from hsc.signcryption import pchs_signcrypt
                 sigma = pchs_signcrypt(params, prod.alice, prod.identity,
                                        prod.bob.public, b"genuine", rng)
                 tampered = bytearray(codec.encode_ciphertext(sigma))
@@ -137,6 +137,67 @@ class TestAbortPaths:
         assert server.outcome == netdemo.OUT_OF_ORDER
         assert server.state == SessionState.ABORTED
         assert server.plaintext is None
+
+    def test_peer_closing_mid_frame_ends_in_end_of_stream(self, prod, caplog):
+        def vanishing_client(port):
+            with socket.create_connection(("127.0.0.1", port), timeout=5.0) as conn:
+                # a header that declares 70 payload bytes, then 10 of them
+                conn.sendall(bytes([FrameType.CLIENT_KEY]) + (70).to_bytes(4, "big")
+                             + b"\x01" * 10)
+
+        server, _ = _run_session(prod.params, prod.bob, None, None, "pchs",
+                                 client_hook=vanishing_client)
+        assert server.outcome == netdemo.END_OF_STREAM
+        assert server.state == SessionState.ABORTED
+        assert server.frames == []
+        # through EndOfStreamError, not a timeout
+        assert "stream ended with 60 bytes outstanding" in caplog.text
+
+    @pytest.mark.parametrize("header", [
+        bytes([0x7F]) + (1).to_bytes(4, "big"),
+        bytes([FrameType.CLIENT_KEY]) + (MAX_FRAME_PAYLOAD + 1).to_bytes(4, "big"),
+    ], ids=["unknown-tag", "oversize-length"])
+    def test_undecodable_frame_header_ends_in_frame_decode(self, prod, header):
+        def garbling_client(port):
+            with socket.create_connection(("127.0.0.1", port), timeout=5.0) as conn:
+                conn.sendall(header)
+                # the server reads no further than the header
+                assert conn.recv(1) == b""
+
+        server, _ = _run_session(prod.params, prod.bob, None, None, "pchs",
+                                 client_hook=garbling_client)
+        assert server.outcome == netdemo.FRAME_DECODE
+        assert server.state == SessionState.ABORTED
+        assert server.frames == []
+
+    def test_wrong_closing_status_ends_in_bad_status(self, prod, rng):
+        params = prod.params
+
+        def rude_client(port):
+            with socket.create_connection(("127.0.0.1", port), timeout=5.0) as conn:
+                rfile, wfile = conn.makefile("rb"), conn.makefile("wb")
+                codec.write_frame(wfile, Frame(
+                    FrameType.CLIENT_KEY,
+                    codec.encode_pki_public(params, prod.alice.PK_p)))
+                codec.read_frame(rfile)  # server key
+                sigma = pchs_signcrypt(params, prod.alice, prod.identity,
+                                       prod.bob.public, b"genuine", rng)
+                codec.write_frame(wfile, Frame(FrameType.CIPHERTEXT,
+                                               codec.encode_ciphertext(sigma)))
+                status = codec.read_frame(rfile)
+                codec.write_frame(wfile, Frame(FrameType.STATUS, b"Not done."))
+                return status
+
+        server, status = _run_session(params, prod.bob, None, None, "pchs",
+                                      client_hook=rude_client)
+        assert status.payload == STATUS_SUCCESS
+        assert server.outcome == netdemo.BAD_STATUS
+        assert server.state == SessionState.ABORTED
+        assert server.plaintext == b"genuine"
+        assert [f.type_tag for f in server.frames] == [
+            FrameType.CLIENT_KEY, FrameType.SERVER_KEY, FrameType.CIPHERTEXT,
+            FrameType.STATUS, FrameType.STATUS]
+        assert server.frames[-1].payload == b"Not done."
 
     def test_client_aborts_on_off_group_server_key(self, prod):
         params = prod.params
