@@ -2,8 +2,8 @@
 
 Times the primitive operations (scalar multiplication of pool points, of
 the fixed base P and of one point over and over, group addition,
-hash-to-scalar, element decoding of pool points and of one point over
-and over) and the four full algorithms plus aggregate key generation,
+hash-to-scalar, a 1 KiB H3 keystream, element decoding of pool points
+and of one point over and over) and the four full algorithms plus aggregate key generation,
 each over fresh random inputs pre-generated outside the timed region; a
 caller may time a subset of the primitives alone.  On secp256k1 a pool
 point takes the first-use GLV + wNAF path, P the shipped fixed-window
@@ -274,8 +274,8 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
 
     `rows`, when given, names the primitive rows to time (`scalar_mult`,
     `scalar_mult_fixed`, `scalar_mult_repeat`, `group_add`,
-    `hash_to_scalar`, `decode_element`, `decode_element_repeat`, and on
-    secp256k1 `jac_double`, `jac_madd`, `jac_add`, `load_g_table`,
+    `hash_to_scalar`, `h3_1k`, `decode_element`, `decode_element_repeat`,
+    and on secp256k1 `jac_double`, `jac_madd`, `jac_add`, `load_g_table`,
     `promotion_build`, `cli_import` and `demo_import`); the other rows,
     the algorithm rows and the op counts are then skipped.  The two table
     rows and the two import rows take milliseconds per call, so like the
@@ -334,6 +334,10 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
          [(pick(i), pick(i + 1)) for i in range(iterations)]),
         ("hash_to_scalar", params.oracles.h2,
          [(msgs[i], pick(i)) for i in range(iterations)]),
+        # the keystream of a 1 KiB message, or of the longest one the
+        # params allow
+        ("h3_1k", params.oracles.h3,
+         [(pick(i), min(1024, params.max_message_bytes)) for i in range(iterations)]),
         # on secp256k1, point decompression: one modular square root; each
         # pass starts with the cache of recent decodes empty and cycles
         # through more points than it holds, so every call takes the root

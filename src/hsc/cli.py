@@ -12,7 +12,8 @@
     hsc bench         timing and operation-count report
 
 Exit codes: 0 success, 2 usage, 3 cryptographic rejection, 4 I/O or
-decode failure.  Failures print one machine-readable line to stderr.
+decode failure, a broken install's missing or corrupt generator table
+included.  Failures print one machine-readable line to stderr.
 
 Commands refuse to overwrite existing output files unless --force is
 given.  If the environment variable HSC_SEED is set (test builds only),
@@ -29,7 +30,7 @@ import sys
 from pathlib import Path
 
 from . import codec, keys
-from .group import DecodeError
+from .group import DecodeError, GeneratorTableError
 from .keys import ClcKeyPair, DegenerateKeyError, PartialKeyError, PkiKeyPair
 from .signcryption import DIRECTIONS, RejectedCiphertext
 
@@ -348,7 +349,8 @@ def main(argv=None) -> int:
     except (codec.CodecError, DecodeError) as exc:
         print(f"ERROR decode: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
+    # a broken install: the shipped generator table is missing or corrupt
+    except (OSError, GeneratorTableError) as exc:
         print(f"ERROR io: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

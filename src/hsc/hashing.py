@@ -17,11 +17,22 @@ the XOF's name and the three tags are also bytes of the params file,
 which :mod:`hsc.codec` writes from `XOF_NAME` and `DOMAIN_TAGS` and
 refuses on decode when they differ.  Message length is capped by the
 algorithms, not here.
+
+SHAKE256 comes from CPython's own Keccak module `_sha3`, as CPython's
+`random` takes SHA-512 from its own `_sha512` (`_sha2` from 3.12).
+`hashlib` would give the same bytes, but importing it always loads
+OpenSSL's libcrypto through `_hashlib`: about 3.6 MB of peak RSS and 3-6
+ms per process, which nothing else an hsc process imports needs.  Only an
+interpreter built without `_sha3`, such as a FIPS build, falls back to
+`hashlib.shake_256`.
 """
 
 from __future__ import annotations
 
-import hashlib
+try:
+    from _sha3 import shake_256
+except ImportError:  # an interpreter built without it, such as a FIPS build
+    from hashlib import shake_256
 
 from .group import Group, GroupElement, Scalar
 
@@ -67,11 +78,11 @@ class HashOracles:
         # wide reduction, then counter-byte retries until nonzero
         q = self.group.descriptor.q
         wide = 2 * self.group.descriptor.scalar_len
-        value = int.from_bytes(hashlib.shake_256(preimage).digest(wide), "big") % q
+        value = int.from_bytes(shake_256(preimage).digest(wide), "big") % q
         ctr = 0
         while value == 0:
             retry = preimage + bytes([ctr])
-            value = int.from_bytes(hashlib.shake_256(retry).digest(wide), "big") % q
+            value = int.from_bytes(shake_256(retry).digest(wide), "big") % q
             ctr += 1
         return Scalar(value, q)
 
@@ -88,4 +99,4 @@ class HashOracles:
     def h3(self, R2: GroupElement, out_len: int) -> bytes:
         """Keystream oracle: R2 -> out_len mask bytes (an XOF prefix)."""
         self.group.count_hash_call()
-        return hashlib.shake_256(self.h3_preimage(R2)).digest(out_len)
+        return shake_256(self.h3_preimage(R2)).digest(out_len)

@@ -19,7 +19,7 @@ COLUMNS = [
 
 EXPECTED_OPS = [
     "scalar_mult", "scalar_mult_fixed", "scalar_mult_repeat", "group_add",
-    "hash_to_scalar", "decode_element", "decode_element_repeat",
+    "hash_to_scalar", "h3_1k", "decode_element", "decode_element_repeat",
     "keygen", "pchs_signcrypt", "pchs_unsigncrypt",
     "cphs_signcrypt", "cphs_unsigncrypt",
 ]
@@ -76,6 +76,17 @@ class TestRowFilter:
         assert [t.name for t in report.timings] == ["scalar_mult", "hash_to_scalar"]
         assert report.timing("scalar_mult").iterations == 50
         assert report.op_counts == {}
+
+    @pytest.mark.parametrize("n,mask_len", [(64, 8), (16384, 1024)])
+    def test_h3_row_squeezes_at_most_1k(self, monkeypatch, n, mask_len):
+        # a pool point's keystream of min(1024, max_message_bytes) bytes
+        params, _ = keys.setup("toy-101", n=n, rng=random.Random(3))
+        h3, calls = params.oracles.h3, []
+        monkeypatch.setattr(params.oracles, "h3",
+                            lambda R2, out_len: calls.append(out_len) or h3(R2, out_len))
+        report = bench_run(params, iterations=5, rng=random.Random(4), rows=("h3_1k",))
+        assert [(t.name, t.iterations) for t in report.timings] == [("h3_1k", 5)]
+        assert calls == [mask_len] * 5
 
     def test_repeat_row_reads_a_promoted_table(self, table_builds):
         params, _ = keys.setup("secp256k1", rng=random.Random(5))
@@ -238,14 +249,14 @@ class TestKernelRows:
                          "--json", "b.json"]) == 0
         rows = [r for r in json.loads((tmp_path / "b.json").read_text())["rows"]
                 if r["record"] == "timing"]
-        assert [r["name"] for r in rows] == EXPECTED_OPS[:7] + [
+        assert [r["name"] for r in rows] == EXPECTED_OPS[:8] + [
             "jac_double", "jac_madd", "jac_add", "load_g_table", "promotion_build",
-            "cli_import", "demo_import"] + EXPECTED_OPS[7:]
-        for row in rows[7:10]:
+            "cli_import", "demo_import"] + EXPECTED_OPS[8:]
+        for row in rows[8:11]:
             assert row["iterations"] == 20 and float(row["mean_s"]) > 0
         # the table rows and the import rows run as often as the
         # algorithms: 20 // 100, at least 1
-        for row in rows[10:14]:
+        for row in rows[11:15]:
             assert row["iterations"] == 1 and float(row["mean_s"]) > 0
 
     def test_cli_import_row_imports_this_hsc(self, tmp_path, monkeypatch):

@@ -295,6 +295,66 @@ class TestFileHygiene:
         assert "ERROR crypto" in result.stderr
 
 
+class TestBrokenInstall:
+    """A missing or corrupt generator table is a broken install: the
+    command prints one `ERROR io:` line, exits 4 and writes nothing.  The
+    commands run in this process, with the table's path patched and its
+    cache cleared before and after."""
+
+    @pytest.fixture(params=["corrupt", "missing"])
+    def table_error(self, request, monkeypatch, tmp_path):
+        """Point the loader at a copy of the table with one byte flipped,
+        or at an absent file, and return the error it must report."""
+        from hsc import group
+        path = tmp_path / "secp256k1_g_w10.bin"
+        if request.param == "corrupt":
+            with open(group._G_TABLE_PATH, "rb") as f:
+                data = bytearray(f.read())
+            data[1000] ^= 1
+            path.write_bytes(bytes(data))
+            error = f"{path} does not match its SHA-256 digest"
+        else:
+            error = ("cannot read the secp256k1 generator table: "
+                     f"[Errno 2] No such file or directory: '{path}'")
+        monkeypatch.setattr(group, "_G_TABLE_PATH", str(path))
+        group._load_g_table.cache_clear()
+        yield error
+        group._load_g_table.cache_clear()
+
+    @staticmethod
+    def commands(ws, out):
+        """Two commands whose first k*P loads the table: setup, with its
+        two outputs, and a PCHS signcrypt."""
+        return {
+            "setup": ["setup", "--params", f"{out}/params.hsc", "--out", f"{out}/master.hsc"],
+            "signcrypt": ["signcrypt", "--mode", "pchs", "--params", f"{ws}/params.hsc",
+                          "--key", f"{ws}/alice.hsc", "--peer", f"{ws}/bob.pub.hsc",
+                          "--in", f"{ws}/msg.txt", "--out", f"{out}/sigma.hsc"],
+        }
+
+    @pytest.mark.parametrize("command", ["setup", "signcrypt"])
+    def test_exits_4_and_writes_nothing(self, workspace, table_error, tmp_path, capsys,
+                                        command):
+        from hsc import cli
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(self.commands(workspace, out)[command]) == 4
+        assert capsys.readouterr() == ("", f"ERROR io: {table_error}\n")
+        assert list(out.iterdir()) == []
+
+    def test_other_runtime_errors_still_raise(self, workspace, tmp_path, monkeypatch):
+        # only the table's failure is an I/O error; any other RuntimeError
+        # is a bug and keeps its traceback
+        from hsc import cli
+
+        def fail(args):
+            raise RuntimeError("not the table")
+
+        monkeypatch.setattr(cli, "_cmd_signcrypt", fail)
+        with pytest.raises(RuntimeError, match="not the table"):
+            cli.main(self.commands(workspace, tmp_path)["signcrypt"])
+
+
 class TestSeededDeterminism:
     def test_hsc_seed_reproduces_files(self, tmp_path):
         env = dict(os.environ, HSC_SEED="42")

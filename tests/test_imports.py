@@ -3,9 +3,13 @@ private name of the library goes unread by the library or the scripts
 beside it.  No linter ships with the test dependencies, so this reads
 the source with `ast`; an import line marked `# noqa` is skipped.  The
 demo and bench modules load neither `dataclasses` nor the `inspect` it
-pulls in, and the package docstring's quick start runs as written."""
+pulls in, no hsc process loads `hashlib` (and OpenSSL's libcrypto with
+it) where CPython's own hash modules exist, the `hashlib` fallback gives
+the same bytes, and the package docstring's quick start runs as
+written."""
 
 import ast
+import importlib.util
 import subprocess
 import sys
 import textwrap
@@ -112,6 +116,57 @@ def test_demo_and_bench_load_no_dataclasses(module):
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]"]
+
+
+# a fresh interpreter: argv[2] == "fallback" hides CPython's own hash
+# modules before hsc is imported, as on a build without them; then it
+# imports the CLI, demo and bench modules, runs one k*P (the generator
+# table's first load and check) and H1, H2 and a 1 KiB H3 on a fixed
+# seed, and prints the hash modules it loaded and the outputs in hex
+_HASH_CHILD = textwrap.dedent("""
+    import random, sys
+    if sys.argv[2] == "fallback":
+        sys.modules.update(_sha3=None, _sha256=None, _sha2=None)
+    sys.path.insert(0, sys.argv[1])
+    import hsc.bench, hsc.cli, hsc.netdemo
+    from hsc import group, hashing
+    secp = group.Secp256k1Group()
+    oracles = hashing.HashOracles(secp)
+    rng = random.Random(24)
+    X = secp.random_scalar(rng) * secp.generator()
+    assert group._load_g_table.cache_info().currsize == 1
+    message = rng.getrandbits(8 * 100).to_bytes(100, "big")
+    print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+    print(X.encode().hex())
+    print(secp.encode_scalar(oracles.h1(b"bob", X)).hex())
+    print(secp.encode_scalar(oracles.h2(message, X)).hex())
+    print(oracles.h3(X, 1024).hex())
+    if sys.argv[2] == "fallback":
+        import hashlib
+        assert hashing.shake_256 is hashlib.shake_256
+        assert group.sha256 is hashlib.sha256
+""")
+
+
+def _hash_child(mode):
+    result = subprocess.run([sys.executable, "-c", _HASH_CHILD, str(SRC.parent), mode],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+def test_no_hsc_process_loads_hashlib():
+    if not (importlib.util.find_spec("_sha3")
+            and (importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"))):
+        pytest.skip("this interpreter has no built-in SHAKE256 and SHA-256 modules")
+    assert _hash_child("default")[0] == "[]"
+
+
+def test_the_hashlib_fallback_gives_the_same_bytes():
+    default, fallback = _hash_child("default"), _hash_child("fallback")
+    assert fallback[0] == "['_hashlib', 'hashlib']"
+    assert fallback[1:] == default[1:]
+    assert [len(line) for line in default[1:]] == [66, 64, 64, 2048]
 
 
 def test_package_quick_start_runs():
