@@ -35,7 +35,8 @@ change, can be checked for a host that changed speed between them.
 Absolute times are hardware-dependent and not comparable across machines;
 consumers should assert orderings and ratios only.  The JSON report
 holds rows with a fixed column set, so runs can be diffed, under a
-`meta` object with the Python version, core count and git commit.
+`meta` object with the Python version, the core count and
+`source_sha256`, the digest of the code measured (see source_sha256).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import NamedTuple
 
 from .group import (GroupElement, OpCounter, Secp256k1Group, _GLV_ROWS, _GLV_WIDTH, _P,
                     _decompress, _fixed_window_rows, _jac_add, _jac_double, _jac_madd,
-                    _load_g_table, _promotion, _system_rng)
+                    _load_g_table, _promotion, _system_rng, sha256)
 from .keys import (
     ClcKeyPair,
     PkiKeyPair,
@@ -127,7 +128,7 @@ class BenchReport:
         meta = {
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
-            "commit": git_commit(Path(__file__).resolve().parent),
+            "source_sha256": source_sha256(),
             "reference_s": [round(t, 9) for t in self.reference_s],
         }
         return json.dumps({"meta": meta, "rows": self.rows()}, indent=1) + "\n"
@@ -151,46 +152,18 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def git_commit(start: Path) -> str | None:
-    """The commit checked out in the nearest git checkout at or above
-    `start`, read from its files without running git; None outside a
-    checkout."""
-    for directory in (start, *start.parents):
-        git_dir = directory / ".git"
-        if git_dir.exists():
-            break
-    else:
-        return None
-    try:
-        if git_dir.is_file():
-            # a submodule or a linked worktree: "gitdir: <path>", relative
-            # to the directory that holds the file
-            text = git_dir.read_text().strip()
-            if not text.startswith("gitdir: "):
-                return None
-            git_dir = git_dir.parent / text[len("gitdir: "):]
-        head = (git_dir / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head  # detached HEAD
-        ref = head[len("ref: "):]
-        ref_dirs = [git_dir]
-        # a linked worktree finds its branches in the git directory its
-        # commondir names
-        if (git_dir / "commondir").is_file():
-            ref_dirs.append(git_dir / (git_dir / "commondir").read_text().strip())
-        for ref_dir in ref_dirs:
-            loose = ref_dir / ref
-            if loose.is_file():
-                return loose.read_text().strip()
-            packed = ref_dir / "packed-refs"
-            if packed.is_file():
-                for line in packed.read_text().splitlines():
-                    commit, _, name = line.partition(" ")
-                    if name == ref:
-                        return commit
-    except OSError:
-        pass
-    return None
+def source_sha256() -> str:
+    """SHA-256 over the name, length and bytes of each .py file of this
+    package, in name order: the same wherever the files lie, in a
+    checkout, a copy or an unpacked archive.  The generator's table is
+    covered too, since group.py pins its digest.  For another commit's
+    code, run `git archive <rev> src/hsc | tar -x -C DIR` and call this
+    from the `hsc.bench` imported from DIR/src."""
+    digest = sha256()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(b"%s\0%d\0%s" % (path.name.encode(), len(data), data))
+    return digest.hexdigest()
 
 
 def _time_loop(fn, inputs) -> list[float]:
@@ -410,28 +383,23 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
                  for _ in range(algo_iterations)]
 
     timed = primitives + [("keygen", keygen_once, [() for _ in range(algo_iterations)])]
-    directions = {}
+    # (op-count name, function, the arguments of its first timed call)
+    counted = [("key_generation", keygen_once, ())]
     for mode, spec in DIRECTIONS.items():
         sender, sender_export = sides[spec.sender]
         receiver, receiver_export = sides[spec.receiver]
         sign = functools.partial(spec.signcrypt, bparams, sender, receiver_export, rng=rng)
         unsign = functools.partial(spec.unsigncrypt, bparams, receiver, sender_export)
-        directions[mode] = sign, unsign
         sigmas = [(sign(m),) for m in algo_msgs]
         timed += [(f"{mode}_signcrypt", sign, [(m,) for m in algo_msgs]),
                   (f"{mode}_unsigncrypt", unsign, sigmas)]
+        counted += [(f"{mode}_signcrypt", sign, (algo_msgs[0],)),
+                    (f"{mode}_unsigncrypt", unsign, sigmas[0])]
     report.timings, report.reference_s = _time_rows(timed, repeat, warm)
 
     # measured per-algorithm operation counts, one scoped invocation each
-    with group.counting() as c:
-        keygen_once()
-    report.op_counts["key_generation"] = c
-    for mode, (sign, unsign) in directions.items():
+    for name, fn, args in counted:
         with group.counting() as c:
-            sigma = sign(algo_msgs[0])
-        report.op_counts[f"{mode}_signcrypt"] = c
-        with group.counting() as c:
-            unsign(sigma)
-        report.op_counts[f"{mode}_unsigncrypt"] = c
-
+            fn(*args)
+        report.op_counts[name] = c
     return report

@@ -24,6 +24,7 @@ never set it in real use.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import random
 import sys
@@ -55,16 +56,19 @@ def _read(path: str) -> bytes:
 
 
 def _refuse_existing(force: bool, *paths) -> None:
-    """Raise for output paths (None for an unused one) that name one file,
-    force or not, and for the first that exists, unless force is set; a
-    command with several outputs checks them all before it writes any."""
+    """Raise for output paths (None for an unused one) that name one file
+    or lie in a directory that does not exist, force or not, and for the
+    first that exists, unless force is set; a command with several
+    outputs checks them all before it writes any."""
     given = [path for path in paths if path is not None]
     if len({Path(path).resolve() for path in given}) < len(given):
         raise ValueError(f"outputs {' and '.join(given)} name the same file")
-    if not force:
-        for path in given:
-            if Path(path).exists():
-                raise FileExistsError(f"{path} exists; pass --force to overwrite")
+    for path in given:
+        if not Path(path).parent.is_dir():
+            # the error writing the file would raise
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if not force and Path(path).exists():
+            raise FileExistsError(f"{path} exists; pass --force to overwrite")
 
 
 def _write(path: str, data: bytes, force: bool) -> None:

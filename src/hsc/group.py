@@ -936,8 +936,9 @@ class Secp256k1Group(Group):
     that race for a table may each build one, and every copy is equal.
     Rejected encodings are never cached and are checked in full each
     time.  A missing table file, or one that does not match its SHA-256
-    digest, raises RuntimeError on the first k*P and again on every
-    later one, since a failed load is not cached.  The module docstring
+    digest, raises GeneratorTableError, a RuntimeError that the CLI
+    reports with exit code 4, on the first k*P and again on every later
+    one, since a failed load is not cached.  The module docstring
     gives the multiplication paths and their costs.
     """
 

@@ -43,6 +43,7 @@ from .signcryption import (  # noqa: F401
     DIRECTIONS,
     DirectionSpec,
     RejectedCiphertext,
+    check_message_size,
     cphs_signcrypt,
     cphs_unsigncrypt,
     pchs_signcrypt,
@@ -294,6 +295,7 @@ def run_client(params: SystemParams, key, message: bytes, *,
                rng=None) -> DemoSession:
     """Connect, run one session sending `message`, return the transcript."""
     spec = _direction(mode, Role.CLIENT, key)
+    check_message_size(params, message)
     with socket.create_connection((host, port), timeout=timeout) as conn:
         return _run_session(conn, Role.CLIENT, _client_session,
                             params, key, spec, message, rng)

@@ -90,15 +90,20 @@ def _xor(data: bytes, mask: bytes) -> bytes:
     return masked.to_bytes(len(data), "big")
 
 
-def _seal(params: SystemParams, m: bytes, rng) -> tuple[Scalar, Scalar, bytes]:
-    """Check the message, then R1 = k*P, h = H2(m, R1), c = m XOR
-    H3(h*P); returns (k, h, c)."""
+def check_message_size(params: SystemParams, m: bytes) -> None:
+    """Raise MessageSizeError unless 0 < |m| <= the params' cap."""
     if len(m) == 0:
         raise MessageSizeError("refusing to signcrypt an empty message")
     if len(m) > params.max_message_bytes:
         raise MessageSizeError(
             f"message is {len(m)} bytes, cap is {params.max_message_bytes}"
         )
+
+
+def _seal(params: SystemParams, m: bytes, rng) -> tuple[Scalar, Scalar, bytes]:
+    """Check the message, then R1 = k*P, h = H2(m, R1), c = m XOR
+    H3(h*P); returns (k, h, c)."""
+    check_message_size(params, m)
     k = params.group.random_scalar(rng)
     h = params.oracles.h2(m, k * params.P)
     c = _xor(m, params.oracles.h3(h * params.P, len(m)))

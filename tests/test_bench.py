@@ -3,11 +3,15 @@
 import json
 import os
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hsc import bench, cli, group, keys
-from hsc.bench import bench_run, git_commit
+from hsc.bench import bench_run, source_sha256
 
 # the fixed columns of every row of the JSON report, in order
 COLUMNS = [
@@ -390,7 +394,10 @@ class TestJsonReport:
         meta = json.loads(toy_report.to_json())["meta"]
         assert meta["cpu_count"] == os.cpu_count()
         assert meta["python"].count(".") == 2
-        assert meta["commit"] is None or len(meta["commit"]) == 40
+        assert sorted(meta) == ["cpu_count", "python", "reference_s", "source_sha256"]
+        digest = meta["source_sha256"]
+        assert digest == source_sha256()
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
         assert len(meta["reference_s"]) == 1 and meta["reference_s"][0] > 0
 
     def test_cli_writes_json(self, tmp_path, monkeypatch):
@@ -434,56 +441,52 @@ class TestSeededCommand:
         assert seen["first_pool_point"] != seen["params"].Ppub
 
 
-class TestGitCommit:
-    COMMIT = "0123456789abcdef0123456789abcdef01234567"
+class TestSourceDigest:
+    """meta.source_sha256 names the code by its files, wherever they lie."""
 
-    def _repo(self, tmp_path, head):
-        git = tmp_path / ".git"
-        (git / "refs" / "heads").mkdir(parents=True)
-        (git / "HEAD").write_text(head)
-        return tmp_path
+    PACKAGE = Path(bench.__file__).resolve().parent
 
-    def test_loose_ref_from_a_subdirectory(self, tmp_path):
-        root = self._repo(tmp_path, "ref: refs/heads/main\n")
-        (root / ".git" / "refs" / "heads" / "main").write_text(self.COMMIT + "\n")
-        (root / "src" / "pkg").mkdir(parents=True)
-        assert git_commit(root / "src" / "pkg") == self.COMMIT
+    def _copy(self, root):
+        shutil.copytree(self.PACKAGE, root / "src" / "hsc",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return root / "src"
 
-    def test_packed_ref(self, tmp_path):
-        root = self._repo(tmp_path, "ref: refs/heads/main\n")
-        (root / ".git" / "packed-refs").write_text(
-            "# pack-refs with: peeled fully-peeled sorted\n"
-            f"{'f' * 40} refs/heads/other\n{self.COMMIT} refs/heads/main\n")
-        assert git_commit(root) == self.COMMIT
+    def _imported_digest(self, src):
+        # a fresh interpreter imports hsc.bench from `src`, as a run of
+        # an unpacked archive does
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+             "import hsc.bench as b; print(b.__file__); print(b.source_sha256())", str(src)],
+            capture_output=True, text=True, check=True).stdout.split()
+        assert Path(out[0]).resolve().parent == (src / "hsc").resolve()
+        return out[1]
 
-    def test_detached_head(self, tmp_path):
-        assert git_commit(self._repo(tmp_path, self.COMMIT + "\n")) == self.COMMIT
+    def test_a_copy_outside_any_checkout_gives_the_same_digest(self, tmp_path):
+        assert self._imported_digest(self._copy(tmp_path)) == source_sha256()
 
-    def test_unborn_branch(self, tmp_path):
-        assert git_commit(self._repo(tmp_path, "ref: refs/heads/main\n")) is None
+    def test_a_copy_inside_another_checkout_gives_its_own_digest(self, tmp_path):
+        (tmp_path / ".git" / "refs" / "heads").mkdir(parents=True)
+        (tmp_path / ".git" / "HEAD").write_text("0123456789abcdef0123456789abcdef01234567\n")
+        assert self._imported_digest(self._copy(tmp_path)) == source_sha256()
 
-    def test_submodule_reads_its_own_git_dir(self, tmp_path):
-        # the submodule's .git is a file naming a directory inside the
-        # enclosing repository's .git, whose own HEAD is another commit
-        outer = self._repo(tmp_path, "ref: refs/heads/main\n")
-        (outer / ".git" / "refs" / "heads" / "main").write_text("1" * 40 + "\n")
-        modules = outer / ".git" / "modules" / "sub"
-        modules.mkdir(parents=True)
-        (modules / "HEAD").write_text(self.COMMIT + "\n")
-        (outer / "sub" / "pkg").mkdir(parents=True)
-        (outer / "sub" / ".git").write_text("gitdir: ../.git/modules/sub\n")
-        assert git_commit(outer / "sub" / "pkg") == self.COMMIT
+    def test_one_changed_byte_in_any_file_changes_it(self, tmp_path, monkeypatch):
+        package = self._copy(tmp_path) / "hsc"
+        monkeypatch.setattr(bench, "__file__", str(package / "bench.py"))
+        original = source_sha256()
+        seen = {original}
+        for path in sorted(package.glob("*.py")):
+            data = path.read_bytes()
+            path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+            seen.add(source_sha256())
+            path.write_bytes(data)
+        assert len(seen) == 1 + len(list(package.glob("*.py")))
+        assert source_sha256() == original
 
-    def test_linked_worktree_reads_refs_from_its_commondir(self, tmp_path):
-        main = self._repo(tmp_path / "main", "ref: refs/heads/main\n")
-        (main / ".git" / "refs" / "heads" / "main").write_text("1" * 40 + "\n")
-        (main / ".git" / "packed-refs").write_text(
-            f"{self.COMMIT} refs/heads/feature\n")
-        worktree_dir = main / ".git" / "worktrees" / "wt"
-        worktree_dir.mkdir(parents=True)
-        (worktree_dir / "HEAD").write_text("ref: refs/heads/feature\n")
-        (worktree_dir / "commondir").write_text("../..\n")
-        wt = tmp_path / "wt"
-        wt.mkdir()
-        (wt / ".git").write_text(f"gitdir: {worktree_dir}\n")
-        assert git_commit(wt) == self.COMMIT
+    def test_a_bytecode_cache_does_not_change_it(self, tmp_path, monkeypatch):
+        package = self._copy(tmp_path) / "hsc"
+        monkeypatch.setattr(bench, "__file__", str(package / "bench.py"))
+        before = source_sha256()
+        (package / "__pycache__").mkdir()
+        (package / "__pycache__" / "bench.cpython-311.pyc").write_bytes(b"\0" * 64)
+        (package / "__pycache__" / "stray.py").write_text("x = 1\n")
+        assert source_sha256() == before

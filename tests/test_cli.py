@@ -1,6 +1,8 @@
 """CLI end-to-end through subprocesses: lifecycle, exit codes, file
 hygiene, and seeded reproducibility."""
 
+import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -275,6 +277,27 @@ class TestFileHygiene:
         assert (tmp_path / "r.json").read_bytes() == b"keep"
 
     @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_setup_writes_nothing_when_an_output_directory_is_missing(self, tmp_path,
+                                                                     force):
+        # a params file written alone would name a master key never saved,
+        # and a rerun would refuse it as existing
+        result = run(["setup", "--group", "toy-101", "--params", "p.hsc",
+                      "--out", "nodir/m.hsc", *force], tmp_path, expect=4)
+        assert result.stderr == \
+            "ERROR io: [Errno 2] No such file or directory: 'nodir/m.hsc'\n"
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bench_refuses_a_json_in_a_missing_directory_before_it_runs(self, tmp_path):
+        run(["setup", "--group", "toy-101", "--params", "p.hsc",
+             "--out", "m.hsc"], tmp_path)
+        result = run(["bench", "--params", "p.hsc", "--iters", "20",
+                      "--json", "nodir/r.json", "--force"], tmp_path, expect=4)
+        assert result.stderr == \
+            "ERROR io: [Errno 2] No such file or directory: 'nodir/r.json'\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
     @pytest.mark.parametrize("command,outputs", [
         (["setup", "--group", "toy-101"], ["--params", "a.hsc", "--out", "./a.hsc"]),
     ])
@@ -494,3 +517,18 @@ class TestServeClientCommands:
         assert "outcome: success" in client.stdout
         assert server.returncode == 0, err
         assert "received message: b'the quick brown fox'" in out
+
+
+class TestTranscriptScript:
+    def test_digests_every_subcommand_of_the_parser(self):
+        # scripts/cli_transcript.py digests the help text of each name in
+        # its SUBCOMMANDS; a subcommand missing there would drop out of
+        # the digests unseen
+        from hsc import cli
+        path = SRC.parent / "scripts" / "cli_transcript.py"
+        spec = importlib.util.spec_from_file_location("cli_transcript", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        subparsers, = [action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert sorted(script.SUBCOMMANDS) == sorted(subparsers.choices)

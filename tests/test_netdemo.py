@@ -1,6 +1,7 @@
 """Loopback sessions: the happy path in both directions, plus the abort
 paths (tampering, out-of-order frames, malformed keys)."""
 
+import random
 import socket
 import threading
 from functools import partial
@@ -18,7 +19,7 @@ from hsc.netdemo import (
     STATUS_FAILED,
     STATUS_SUCCESS,
 )
-from hsc.signcryption import pchs_signcrypt
+from hsc.signcryption import MessageSizeError, pchs_signcrypt
 
 
 def _run_session(params, server_key, client_key, message, mode, client_hook=None):
@@ -340,3 +341,32 @@ class TestKeyTypeGuards:
         with pytest.raises(TypeError, match=f"{mode} client needs a {spec.sender.__name__}"):
             netdemo.run_client(prod.params, keys_by_class[spec.receiver], b"m",
                                mode=mode, port=1)
+
+
+class TestMessageSizeGuard:
+    """The client refuses a message its params cannot carry before it
+    connects, with the error signcryption would raise."""
+
+    @pytest.fixture(scope="class")
+    def toy(self):
+        # n = 64 bits: an 8-byte cap
+        rng = random.Random(64)
+        params, master = keys.setup("toy-101", n=64, rng=rng)
+        pki, clc = keys.pki_keygen(params, rng), keys.clc_keygen(params, master, b"s", rng)
+        return params, {type(pki): pki, type(clc): clc}
+
+    @pytest.mark.parametrize("mode", sorted(netdemo.DIRECTIONS))
+    @pytest.mark.parametrize("message,error", [
+        pytest.param(b"", "refusing to signcrypt an empty message", id="empty"),
+        pytest.param(b"x" * 100, "message is 100 bytes, cap is 8", id="over-cap"),
+    ])
+    def test_refused_before_any_connection(self, toy, mode, message, error):
+        params, keys_by_class = toy
+        spec = netdemo.DIRECTIONS[mode]
+        with DemoServer(params, keys_by_class[spec.receiver], mode=mode, port=0,
+                        timeout=0.2) as server:
+            with pytest.raises(MessageSizeError, match=f"^{error}$"):
+                netdemo.run_client(params, keys_by_class[spec.sender], message,
+                                   mode=mode, port=server.port, timeout=0.5)
+            with pytest.raises(socket.timeout):
+                server.serve_one()
