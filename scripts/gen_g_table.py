@@ -3,7 +3,7 @@
     python3 scripts/gen_g_table.py [OUT]
 
 OUT defaults to src/hsc/secp256k1_g_w10.bin, the file `hsc.group` loads on
-the first k*G.  The width and the row count are `hsc.group`'s `_G_WIDTH`
+the third k*G of a process.  The width and the row count are `hsc.group`'s `_G_WIDTH`
 (10) and `_G_ROWS` (13), enough for a GLV half of k below 2^128: row i
 holds the affine points j*1024^i*G for j = 1..512, each as 32-byte
 big-endian x followed by 32-byte big-endian y, so 6,656 points and

@@ -7,9 +7,10 @@ and of one point over and over) and the four full algorithms plus aggregate key 
 each over fresh random inputs pre-generated outside the timed region; a
 caller may time a subset of the primitives alone.  On secp256k1 a pool
 point takes the first-use GLV + wNAF path, P the shipped fixed-window
-table of the generator, and the repeated point (Ppub) the fixed-window
-table it is promoted to on its second use, by an untimed warm-up before
-each pass; decoding a pool point takes a square root, and decoding
+table of the generator (making the pool, before any row, takes the
+process past its first two k*P), and the repeated point (Ppub) the
+fixed-window table it is promoted to on its second use, by an untimed
+warm-up before each pass; decoding a pool point takes a square root, and decoding
 Ppub's encoding again hits the cache of recent decodes.  The
 multiplication and addition rows read the result's canonical value, so
 on secp256k1 they include the inversion that makes it affine.  On
@@ -17,11 +18,13 @@ secp256k1 three more rows time the point kernels themselves, a Jacobian
 doubling, a mixed Jacobian-affine addition and a Jacobian-Jacobian
 addition, two the tables: reading,
 checking and parsing the generator's table file, and building one
-promoted point's table, and two the start of a process: a fresh
+promoted point's table, and three the start of a process: a fresh
 interpreter imports hsc.cli, as every CLI process does, or hsc.netdemo,
 as every demo process does, and reports that import's time by its own
-clock.  Operation counts come from scoped counters
-around one invocation of each algorithm -- measured, never hardcoded.
+clock, or imports hsc.group and reports the time of its first two k*P,
+as a one-shot signcrypt makes them.  Operation counts come from scoped
+counters around one invocation of each algorithm -- measured, never
+hardcoded.
 
 With `repeat` R > 1 every row is timed in R passes, interleaved (each
 pass times every row once, so a slow stretch of the host falls on all
@@ -181,20 +184,35 @@ def _time_loop(fn, inputs) -> list[float]:
 # argv[2] the module) and prints the seconds
 _IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
            "t0 = time.perf_counter(); __import__(sys.argv[2]); print(time.perf_counter() - t0)")
+# a child interpreter imports hsc.group from the same package, then times
+# its own first two k*P, the two that a one-shot PCHS or CPHS signcrypt
+# makes, read as the affine points that get encoded, and prints the
+# seconds
+_FIRST_KP = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+             "from hsc.group import Secp256k1Group; g = Secp256k1Group(); "
+             "P = g.generator(); ks = [g.random_scalar(), g.random_scalar()]; "
+             "t0 = time.perf_counter(); [g.mul(k, P).value for k in ks]; "
+             "print(time.perf_counter() - t0)")
+
+
+def _child_s(code: str, *args: str) -> float:
+    """The seconds that `code` prints when a fresh interpreter runs it
+    with the directory that holds this hsc package as argv[1]."""
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parents[1]), *args],
+        capture_output=True, text=True, check=True).stdout
+    return float(out)
 
 
 def _import_s(module: str) -> float:
     """Seconds a fresh interpreter takes to import `module` of this hsc,
     by the child's own clock: hsc.cli starts every CLI process, and
     hsc.netdemo every demo process."""
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT, str(Path(__file__).resolve().parents[1]), module],
-        capture_output=True, text=True, check=True).stdout
-    return float(out)
+    return _child_s(_IMPORT, module)
 
 
 # rows whose function returns its own sample instead of being timed
-_SELF_TIMED = {"cli_import", "demo_import"}
+_SELF_TIMED = {"cli_import", "demo_import", "first_kp_process"}
 
 
 def _reference_task() -> None:
@@ -249,10 +267,11 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     `scalar_mult_fixed`, `scalar_mult_repeat`, `group_add`,
     `hash_to_scalar`, `h3_1k`, `decode_element`, `decode_element_repeat`,
     and on secp256k1 `jac_double`, `jac_madd`, `jac_add`, `load_g_table`,
-    `promotion_build`, `cli_import` and `demo_import`); the other rows,
-    the algorithm rows and the op counts are then skipped.  The two table
-    rows and the two import rows take milliseconds per call, so like the
-    algorithms they run `algo_iterations` times.
+    `promotion_build`, `cli_import`, `demo_import` and
+    `first_kp_process`); the other rows, the algorithm rows and the op
+    counts are then skipped.  The two table rows and the three process
+    rows take milliseconds per call, so like the algorithms they run
+    `algo_iterations` times.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -338,13 +357,14 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
              [jac[i % len(jac)] + jac[(i + 1) % len(jac)] for i in range(iterations)]),
             # a cold load of the generator's table past its cache: every
             # call reads the file, checks its SHA-256 and parses it, as
-            # the first k*P of a process does
+            # the third k*P of a process does
             ("load_g_table", _load_g_table.__wrapped__, [() for _ in range(algo_iterations)]),
             # the table a point gets on its second multiplication
             ("promotion_build", _fixed_window_rows,
              [(pick(i).value, _GLV_ROWS, _GLV_WIDTH) for i in range(algo_iterations)]),
             ("cli_import", _import_s, [("hsc.cli",)] * algo_iterations),
             ("demo_import", _import_s, [("hsc.netdemo",)] * algo_iterations),
+            ("first_kp_process", _child_s, [(_FIRST_KP,)] * algo_iterations),
         ]
 
     def warm_ppub():

@@ -13,7 +13,10 @@
 
 Exit codes: 0 success, 2 usage, 3 cryptographic rejection, 4 I/O or
 decode failure, a broken install's missing or corrupt generator table
-included.  Failures print one machine-readable line to stderr.
+included.  Only `bench` reads that table: every other command makes at
+most two k*P, which a process takes without it, so a broken table does
+not stop them and their output is unchanged.  Failures print one
+machine-readable line to stderr.
 
 Commands refuse to overwrite existing output files unless --force is
 given.  If the environment variable HSC_SEED is set (test builds only),

@@ -8,11 +8,16 @@ Two interchangeable instantiations sit behind one interface:
   GLV endomorphism lambda into two ~128-bit halves, k1 + k2*lambda, and
   takes one of three paths:
 
-  * the generator P reads a width-10 signed fixed-window table of 13 rows
-    (6,656 points, 425,984 bytes) that ships beside this module and is
-    loaded on the first k*P, after a full SHA-256 check of the file by
-    CPython's own SHA-256 module (no hsc process imports `hashlib`; see
-    :mod:`hsc.hashing`): about 26 mixed additions and no doublings;
+  * the generator P, from the third k*P of a process on, reads a width-10
+    signed fixed-window table of 13 rows (6,656 points, 425,984 bytes)
+    that ships beside this module and is loaded on that third k*P, after
+    a full SHA-256 check of the file by CPython's own SHA-256 module (no
+    hsc process imports `hashlib`; see :mod:`hsc.hashing`): about 26
+    mixed additions and no doublings.  The first two k*P take the
+    first-use path below, as any other point's first multiplication
+    does, without entering the cache of recent points: no one-shot CLI
+    command makes more than two, so none reads, checks or parses the
+    file;
   * any other point, on its first multiplication, recodes both halves as
     width-5 wNAF and runs one shared doubling chain of about 129 steps
     over a table of odd multiples of the point, built on an isomorphic
@@ -20,7 +25,7 @@ Two interchangeable instantiations sit behind one interface:
   * a point multiplied a second time while it is still among the 16 most
     recently multiplied gets a width-7 signed fixed-window table of 19
     rows of its own, built a column at a time with one inversion per
-    column (about 8 ms and 125 KB per point), and from then on costs
+    column (about 5 ms and 125 KB per point), and from then on costs
     about 37 mixed additions, again with no doublings.
 
   A fixed-window table holds multiples of the point alone, each affine
@@ -616,7 +621,7 @@ if (_BETA == 1 or pow(_BETA, 3, _P) != 1 or _LAMBDA == 1 or pow(_LAMBDA, 3, _N) 
 
 _WNAF_WIDTH = 5
 _TABLE_SIZE = 1 << (_WNAF_WIDTH - 2)  # odd multiples 1, 3, ..., 15
-# Ppub and the keys of a few peers, about 8 ms and 125 KB each once
+# Ppub and the keys of a few peers, about 5 ms and 125 KB each once
 # promoted; also the number of recent decodes _decompress keeps
 _TABLE_CACHE_SIZE = 16
 # A promoted point's table has width 7, digits in [-63, 64].  A GLV half
@@ -865,17 +870,26 @@ _G_WIDTH = 10
 _G_ROWS = 13
 _G_TABLE_PATH = os.path.join(os.path.dirname(__file__), "secp256k1_g_w10.bin")
 _G_TABLE_SHA256 = "0dd69d80f2ddaf19e80a22b4d7e8083a2a31a9b9ef1af79742e25a51131b3bba"
+# The first two k*G of a process take the first-use path of any other
+# point, odd multiples of G and the wNAF chain, and only the third loads
+# the table: no CLI command makes more than two, and the load (3-6 ms)
+# pays for itself only after 5-9 table reads, each about 0.65 ms cheaper
+# than a first use.  next() on a count is atomic under the GIL; threads
+# that race past the boundary may both take the first-use path, and both
+# paths give the same point.
+_G_FIRST_USES = 2
+_g_uses = itertools.count()
 
 
 @functools.cache
 def _load_g_table():
-    """Read, check and parse the generator table on the first k*G; a
-    broken install raises GeneratorTableError, is not cached and does not
-    fall back to the general path.  Threads that race here each parse
-    their own copy.  The check is a full SHA-256 of the file by CPython's
-    own module, 1.5-2 ms slower than OpenSSL's on a 2-core x86-64 host,
-    which spares the process `hashlib`'s import: 3-6 ms and 3.6 MB of
-    peak RSS."""
+    """Read, check and parse the generator table on the third k*G of the
+    process (see _G_FIRST_USES); a broken install raises
+    GeneratorTableError, is not cached and does not fall back to the
+    general path.  Threads that race here each parse their own copy.
+    The check is a full SHA-256 of the file by CPython's own module,
+    1.5-2 ms slower than OpenSSL's on a 2-core x86-64 host, which spares
+    the process `hashlib`'s import: 3-6 ms and 3.6 MB of peak RSS."""
     try:
         with open(_G_TABLE_PATH, "rb") as f:
             data = f.read()
@@ -927,7 +941,8 @@ class Secp256k1Group(Group):
 
     Three caches last for the process and are shared by all instances
     and threads.  The generator's table is read from
-    `secp256k1_g_w10.bin` on the first k*P.  The 16 most recently
+    `secp256k1_g_w10.bin` on the third k*P of the process; the first two
+    take the first-use path of any other point.  The 16 most recently
     multiplied points keep their promotion slots, so Ppub and repeated
     peer keys get a table of their own on their second multiplication,
     and a point used once, as in a one-shot CLI command, never pays the
@@ -937,9 +952,12 @@ class Secp256k1Group(Group):
     Rejected encodings are never cached and are checked in full each
     time.  A missing table file, or one that does not match its SHA-256
     digest, raises GeneratorTableError, a RuntimeError that the CLI
-    reports with exit code 4, on the first k*P and again on every later
-    one, since a failed load is not cached.  The module docstring
-    gives the multiplication paths and their costs.
+    reports with exit code 4, on the third k*P and again on every later
+    one, since a failed load is not cached.  So only a process that gets
+    past its second k*P, such as `hsc bench`, a demo server or a library
+    user, reports a broken table; a one-shot command never reads it and
+    succeeds with correct output.  The module docstring gives the
+    multiplication paths and their costs.
     """
 
     def __init__(self) -> None:
@@ -984,6 +1002,8 @@ class Secp256k1Group(Group):
         if xv is None or k == 0:
             return None
         if xv == (_GX, _GY):
+            if next(_g_uses) < _G_FIRST_USES:
+                return _mul_wnaf(k, _odd_multiples(xv))
             return _mul_fixed(k, _load_g_table(), _G_WIDTH)
         return _mul_glv(k, xv)
 

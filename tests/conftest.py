@@ -4,6 +4,7 @@ reproduce)."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -151,6 +152,16 @@ def table_builds(monkeypatch):
             return build(point, *rest)
         monkeypatch.setattr(group, name, hook)
     return builds
+
+
+@pytest.fixture
+def g_uses(monkeypatch):
+    """Sets, for the test, how many k*G the process has made: while that
+    count is below `group._G_FIRST_USES` a k*G takes the first-use path,
+    and from then on it reads the generator table."""
+    def made(count):
+        monkeypatch.setattr(group, "_g_uses", itertools.count(count))
+    return made
 
 
 @pytest.fixture

@@ -241,9 +241,9 @@ class TestRepeatedPasses:
 
 
 class TestKernelRows:
-    """secp256k1 adds a row for each point kernel, two for its tables and
-    two for the imports that start a CLI and a demo process; toy groups
-    have none."""
+    """secp256k1 adds a row for each point kernel, two for its tables,
+    two for the imports that start a CLI and a demo process and one for
+    a process's first two k*P; toy groups have none."""
 
     def test_secp256k1_times_the_kernels(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -255,12 +255,12 @@ class TestKernelRows:
                 if r["record"] == "timing"]
         assert [r["name"] for r in rows] == EXPECTED_OPS[:8] + [
             "jac_double", "jac_madd", "jac_add", "load_g_table", "promotion_build",
-            "cli_import", "demo_import"] + EXPECTED_OPS[8:]
+            "cli_import", "demo_import", "first_kp_process"] + EXPECTED_OPS[8:]
         for row in rows[8:11]:
             assert row["iterations"] == 20 and float(row["mean_s"]) > 0
-        # the table rows and the import rows run as often as the
+        # the table rows and the process rows run as often as the
         # algorithms: 20 // 100, at least 1
-        for row in rows[11:15]:
+        for row in rows[11:16]:
             assert row["iterations"] == 1 and float(row["mean_s"]) > 0
 
     def test_cli_import_row_imports_this_hsc(self, tmp_path, monkeypatch):
@@ -280,6 +280,19 @@ class TestKernelRows:
             [("cli_import", 2), ("demo_import", 2)]
         assert all(t.mean_s > 0 for t in report.timings)
         assert imported == ["hsc.cli"] * 2 + ["hsc.netdemo"] * 2
+
+    def test_first_kp_row_runs_this_hsc(self, tmp_path, monkeypatch):
+        # as for cli_import, a package named hsc in the working directory
+        # must not be the one timed
+        (tmp_path / "hsc").mkdir()
+        (tmp_path / "hsc" / "__init__.py").write_text("raise ImportError('decoy')\n")
+        monkeypatch.chdir(tmp_path)
+        params, _ = keys.setup("secp256k1", rng=random.Random(5))
+        report = bench_run(params, iterations=8, algo_iterations=2, rng=random.Random(6),
+                           rows=("first_kp_process",))
+        assert [(t.name, t.iterations) for t in report.timings] == [("first_kp_process", 2)]
+        # two first uses of G, a millisecond or so each on any host
+        assert 0 < report.timings[0].mean_s < 1
 
     def test_rows_filter_selects_them(self):
         params, _ = keys.setup("secp256k1", rng=random.Random(5))

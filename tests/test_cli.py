@@ -194,9 +194,11 @@ class TestOneShotLoadsNoDemo:
             print(sorted({"socket", "logging", "hsc.netdemo", "hsc.bench",
                           "dataclasses", "inspect", "secrets"} & set(sys.modules)))
         """)
+        # only src on the child's path: an entry for another interpreter's
+        # site-packages may load what hsc does not
         result = subprocess.run([sys.executable, "-c", code], cwd=workspace,
-                                capture_output=True, text=True, env=child_env(),
-                                timeout=120)
+                                capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
         for mode in ("pchs", "cphs"):
@@ -319,16 +321,18 @@ class TestFileHygiene:
 
 
 class TestBrokenInstall:
-    """A missing or corrupt generator table is a broken install: the
-    command prints one `ERROR io:` line, exits 4 and writes nothing.  The
-    commands run in this process, with the table's path patched and its
-    cache cleared before and after."""
+    """A missing or corrupt generator table is a broken install: a
+    command that reads it prints one `ERROR io:` line, exits 4 and writes
+    nothing.  The commands run in this process, with the table's path
+    patched, its cache cleared before and after, and the process past its
+    first uses of G, so that their first k*P reads the table."""
 
     @pytest.fixture(params=["corrupt", "missing"])
-    def table_error(self, request, monkeypatch, tmp_path):
+    def table_error(self, request, monkeypatch, tmp_path, g_uses):
         """Point the loader at a copy of the table with one byte flipped,
         or at an absent file, and return the error it must report."""
         from hsc import group
+        g_uses(group._G_FIRST_USES)
         path = tmp_path / "secp256k1_g_w10.bin"
         if request.param == "corrupt":
             with open(group._G_TABLE_PATH, "rb") as f:
@@ -376,6 +380,73 @@ class TestBrokenInstall:
         monkeypatch.setattr(cli, "_cmd_signcrypt", fail)
         with pytest.raises(RuntimeError, match="not the table"):
             cli.main(self.commands(workspace, tmp_path)["signcrypt"])
+
+
+class TestOneShotReadsNoTable:
+    """A one-shot command makes at most two k*P, and those take G's
+    first-use path, so its process never reads, checks or parses the
+    generator table: `_load_g_table` is never called, and with a corrupt
+    table the command still succeeds and writes the bytes a healthy
+    install writes under the same HSC_SEED.  Each command runs in a
+    fresh interpreter."""
+
+    # argv[1] is the table's path ("" for the shipped one), the rest the
+    # command; prints the exit code and the calls of the table's loader
+    CHILD = textwrap.dedent("""
+        import sys
+        from hsc import cli, group
+        if sys.argv[1]:
+            group._G_TABLE_PATH = sys.argv[1]
+        code = cli.main(sys.argv[2:])
+        info = group._load_g_table.cache_info()
+        print(code, info.hits + info.misses)
+    """)
+
+    @staticmethod
+    def commands(ws, out):
+        """setup, then signcrypt and unsigncrypt in both modes, each
+        unsigncrypt opening the ciphertext written just before."""
+        argv = {"setup": ["setup", "--params", f"{out}/params.hsc",
+                          "--out", f"{out}/master.hsc"]}
+        for mode, sender, receiver, sender_pub, receiver_pub in (
+                ("pchs", "alice.hsc", "bob.hsc", "alice.pub.hsc", "bob.pub.hsc"),
+                ("cphs", "bob.hsc", "alice.hsc", "bob.pub.hsc", "alice.pub.hsc")):
+            common = ["--mode", mode, "--params", f"{ws}/params.hsc"]
+            argv[f"signcrypt-{mode}"] = [
+                "signcrypt", *common, "--key", f"{ws}/{sender}",
+                "--peer", f"{ws}/{receiver_pub}", "--in", f"{ws}/msg.txt",
+                "--out", f"{out}/{mode}.hsc"]
+            argv[f"unsigncrypt-{mode}"] = [
+                "unsigncrypt", *common, "--key", f"{ws}/{receiver}",
+                "--peer", f"{ws}/{sender_pub}", "--in", f"{out}/{mode}.hsc",
+                "--out", f"{out}/{mode}.txt"]
+        return argv
+
+    def test_commands_never_load_it_and_ignore_a_corrupt_copy(self, workspace, tmp_path):
+        from hsc import group
+        with open(group._G_TABLE_PATH, "rb") as f:
+            data = bytearray(f.read())
+        data[1000] ^= 1
+        corrupt = tmp_path / "secp256k1_g_w10.bin"
+        corrupt.write_bytes(bytes(data))
+        env = child_env(dict(os.environ, HSC_SEED="26"))
+        written = {}
+        for table in ("", str(corrupt)):
+            out = tmp_path / ("corrupt" if table else "healthy")
+            out.mkdir()
+            for name, argv in self.commands(workspace, out).items():
+                result = subprocess.run([sys.executable, "-c", self.CHILD, table, *argv],
+                                        capture_output=True, text=True, env=env,
+                                        timeout=120)
+                assert result.returncode == 0, result.stderr
+                assert result.stdout.splitlines()[-1] == "0 0", name
+            written[table] = {path.name: path.read_bytes() for path in out.iterdir()}
+        healthy, broken = written[""], written[str(corrupt)]
+        assert sorted(healthy) == ["cphs.hsc", "cphs.txt", "master.hsc", "params.hsc",
+                                   "pchs.hsc", "pchs.txt"]
+        assert broken == healthy
+        for mode in ("pchs", "cphs"):
+            assert healthy[f"{mode}.txt"] == (workspace / "msg.txt").read_bytes()
 
 
 class TestSeededDeterminism:

@@ -20,7 +20,9 @@ Three rounds with the same keys take every multiplication path: k*P,
 h*P and d*P read the generator's shipped table; Ppub and the peers'
 keys are multiplied fresh in the first round, promoted in the second and
 read from their own tables in the third; and the point the receiver
-derives from V is fresh in every round.
+derives from V is fresh in every round.  A roundtrip in a process that
+has yet to make its first two k*P, as a one-shot CLI command is, takes
+G's first-use path for the sender's k*P and h*P.
 """
 
 import random
@@ -169,6 +171,25 @@ def test_roundtrips_on_every_multiplication_path(scheme, mode, table_builds):
     assert repeated | derived == set(table_builds["_odd_multiples"])
     assert repeated == set(table_builds["_fixed_window_rows"])
     assert (group_module._GX, group_module._GY) not in repeated | derived
+
+
+@pytest.mark.parametrize("mode", ["pchs", "cphs"])
+def test_roundtrip_on_the_generators_first_uses(scheme, mode, g_uses, table_builds):
+    sc = scheme
+    oracles = sc.params.oracles
+    G = (group_module._GX, group_module._GY)
+    g_uses(0)
+    m = sc.rng.randbytes(32)
+    sigma, k, h = _signcrypt(mode, sc, m)
+    # the sender's R1 = k*P and R2 = h*P took G's first-use path
+    assert table_builds["_odd_multiples"].count(G) == 2
+    v_log, u, _, _ = _shadow(mode, sc, k, h)
+    assert sigma.V.encode() == _at(v_log)
+    assert sigma.u == u
+    assert _unsigncrypt(mode, sc, sigma) == m
+    assert oracles.r1 == [_at(k)] * 2 and oracles.r2 == [_at(h)] * 2
+    # and the receiver's multiplications of P read the table
+    assert table_builds["_odd_multiples"].count(G) == 2
 
 
 @pytest.mark.parametrize("mode", ["pchs", "cphs"])

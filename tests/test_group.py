@@ -950,9 +950,9 @@ def _glv_of_generator(k):
 
 
 class TestGeneratorTable:
-    """k*G takes the shipped signed fixed-window table of width 10 over
-    both GLV halves; every other point, -G included, takes the GLV path
-    through tables of its own."""
+    """k*G, past the first two of a process, takes the shipped signed
+    fixed-window table of width 10 over both GLV halves; every other
+    point, -G included, takes the GLV path through tables of its own."""
 
     def test_script_reproduces_the_shipped_file(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / "gen_g_table.py"
@@ -1031,9 +1031,10 @@ class TestGeneratorTable:
             assert cache.cache_info().currsize == 1  # -G takes the GLV path
             assert k_neg_gen == ladder_mul(k, neg_gen) == (kG[0], _P - kG[1])
 
-    def test_only_the_generator_loads_the_table(self, secp, prod):
+    def test_only_the_generator_loads_the_table(self, secp, prod, g_uses):
         load = group_module._load_g_table
         load.cache_clear()
+        g_uses(group_module._G_FIRST_USES)
         (X,) = _random_points(1, seed=63)
         secp._mul_value(5, X)
         secp._mul_value(5, prod.params.Ppub.value)
@@ -1043,7 +1044,7 @@ class TestGeneratorTable:
         assert (load.cache_info().misses, load.cache_info().hits) == (1, 1)
         assert len(load()) == 13 * 512
 
-    def test_corrupted_table_raises(self, secp, tmp_path, monkeypatch):
+    def test_corrupted_table_raises(self, secp, tmp_path, monkeypatch, g_uses):
         with open(group_module._G_TABLE_PATH, "rb") as f:
             data = bytearray(f.read())
         data[1000] ^= 1
@@ -1051,22 +1052,25 @@ class TestGeneratorTable:
         corrupt.write_bytes(bytes(data))
         monkeypatch.setattr(group_module, "_G_TABLE_PATH", str(corrupt))
         group_module._load_g_table.cache_clear()
+        g_uses(group_module._G_FIRST_USES)
         # a failed load is not cached: every k*G checks the file again
         for _ in range(2):
             with pytest.raises(RuntimeError, match="SHA-256"):
                 5 * secp.generator()
         assert group_module._load_g_table.cache_info().currsize == 0
 
-    def test_missing_table_raises(self, secp, tmp_path, monkeypatch):
+    def test_missing_table_raises(self, secp, tmp_path, monkeypatch, g_uses):
         monkeypatch.setattr(group_module, "_G_TABLE_PATH", str(tmp_path / "absent.bin"))
         group_module._load_g_table.cache_clear()
+        g_uses(group_module._G_FIRST_USES)
         for _ in range(2):
             with pytest.raises(RuntimeError, match="cannot read"):
                 5 * secp.generator()
         assert group_module._load_g_table.cache_info().currsize == 0
 
-    def test_threads_load_a_cold_table(self, secp):
+    def test_threads_load_a_cold_table(self, secp, g_uses):
         group_module._load_g_table.cache_clear()
+        g_uses(group_module._G_FIRST_USES)
         rng = random.Random(64)
         work = [[rng.randrange(_N) for _ in range(5)] for _ in range(2)]
         expected = [[ladder_mul(k, _GEN) for k in jobs] for jobs in work]
@@ -1080,6 +1084,80 @@ class TestGeneratorTable:
         _run_concurrently(run, [(0,), (1,)])
         assert results == expected
         assert group_module._load_g_table.cache_info().currsize == 1
+
+
+class TestGeneratorFirstUses:
+    """The first two k*G of a process take the first-use path of any other
+    point, odd multiples of G and the wNAF chain, and never touch the
+    table; the third loads it.  G never enters the cache of recent
+    points."""
+
+    def test_first_uses_match_the_table_and_ladder(self, secp, g_uses, table_builds):
+        rng = random.Random(65)
+        G = secp.generator()
+        scalars = _GEN_TABLE_SCALARS + [rng.randrange(_N) for _ in range(200)]
+        for k in scalars:
+            g_uses(0)
+            first = secp.mul(k, G).value
+            g_uses(group_module._G_FIRST_USES)
+            assert first == secp.mul(k, G).value == ladder_mul(k, _GEN)
+        # one first use per nonzero k: k = 0 gives the identity unread
+        assert table_builds["_odd_multiples"] == [_GEN] * sum(1 for k in scalars if k % _N)
+        assert table_builds["_fixed_window_rows"] == []
+
+    def test_the_third_loads_the_table_once(self, secp, g_uses, table_builds):
+        load = group_module._load_g_table
+        load.cache_clear()
+        group_module._promotion.cache_clear()
+        g_uses(0)
+        for k in (5, 7):
+            assert _normalized(secp._mul_value(k, _GEN)) == ladder_mul(k, _GEN)
+        assert (load.cache_info().misses, load.cache_info().hits) == (0, 0)
+        assert group_module._promotion.cache_info().currsize == 0
+        for k in (9, 11, 13):
+            assert _normalized(secp._mul_value(k, _GEN)) == ladder_mul(k, _GEN)
+        assert (load.cache_info().misses, load.cache_info().hits) == (1, 2)
+        assert table_builds == {"_odd_multiples": [_GEN] * 2, "_fixed_window_rows": []}
+
+    def test_threads_race_across_the_boundary(self, secp, g_uses, table_builds):
+        # more threads than the two first uses, and than a small host's
+        # cores
+        group_module._load_g_table.cache_clear()
+        g_uses(0)
+        rng = random.Random(66)
+        work = [[rng.randrange(1, _N) for _ in range(3)] for _ in range(4)]
+        expected = [[ladder_mul(k, _GEN) for k in jobs] for jobs in work]
+        results = [None] * len(work)
+        start = threading.Barrier(len(work))
+
+        def run(slot):
+            start.wait(timeout=10)
+            results[slot] = [_normalized(secp._mul_value(k, _GEN)) for k in work[slot]]
+
+        _run_concurrently(run, [(slot,) for slot in range(len(work))])
+        assert results == expected
+        # the count hands out each of the two first uses once, however
+        # the threads interleave
+        assert table_builds["_odd_multiples"] == [_GEN] * 2
+        assert group_module._load_g_table.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("broken", ["corrupt", "missing"])
+    def test_a_broken_table_shows_only_from_the_third(self, secp, tmp_path, monkeypatch,
+                                                      g_uses, broken):
+        path = tmp_path / "secp256k1_g_w10.bin"
+        if broken == "corrupt":
+            with open(group_module._G_TABLE_PATH, "rb") as f:
+                data = bytearray(f.read())
+            data[1000] ^= 1
+            path.write_bytes(bytes(data))
+        monkeypatch.setattr(group_module, "_G_TABLE_PATH", str(path))
+        group_module._load_g_table.cache_clear()
+        g_uses(0)
+        for k in (5, 7):
+            assert (k * secp.generator()).value == ladder_mul(k, _GEN)
+        with pytest.raises(group_module.GeneratorTableError):
+            9 * secp.generator()
+        assert group_module._load_g_table.cache_info().currsize == 0
 
 
 # scalars with GLV halves of 127 and 128 bits, of both signs and indices

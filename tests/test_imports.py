@@ -10,6 +10,7 @@ written."""
 
 import ast
 import importlib.util
+import os
 import subprocess
 import sys
 import textwrap
@@ -21,6 +22,15 @@ import hsc
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hsc"
+
+
+def _child(code, *args):
+    """Run `code` in a fresh interpreter with only this hsc's `src` on
+    PYTHONPATH, so that the modules it loads are those that hsc and the
+    interpreter's own start-up load, whatever path the tests run with."""
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
 
 
 def _unused_imports(source):
@@ -112,17 +122,17 @@ def test_demo_and_bench_load_no_dataclasses(module):
     # a fresh interpreter, as a serve, client or bench process starts
     code = ("import sys; sys.path.insert(0, sys.argv[1]); __import__(sys.argv[2]); "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", code, str(SRC.parent), module],
-                            capture_output=True, text=True, timeout=60)
+    result = _child(code, str(SRC.parent), module)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]"]
 
 
 # a fresh interpreter: argv[2] == "fallback" hides CPython's own hash
 # modules before hsc is imported, as on a build without them; then it
-# imports the CLI, demo and bench modules, runs one k*P (the generator
-# table's first load and check) and H1, H2 and a 1 KiB H3 on a fixed
-# seed, and prints the hash modules it loaded and the outputs in hex
+# imports the CLI, demo and bench modules, runs three k*P (the first two
+# take the first-use path, the third loads and checks the generator
+# table) and H1, H2 and a 1 KiB H3 on a fixed seed, and prints the hash
+# modules it loaded and the outputs in hex
 _HASH_CHILD = textwrap.dedent("""
     import random, sys
     if sys.argv[2] == "fallback":
@@ -133,7 +143,7 @@ _HASH_CHILD = textwrap.dedent("""
     secp = group.Secp256k1Group()
     oracles = hashing.HashOracles(secp)
     rng = random.Random(24)
-    X = secp.random_scalar(rng) * secp.generator()
+    X, _, _ = (secp.random_scalar(rng) * secp.generator() for _ in range(3))
     assert group._load_g_table.cache_info().currsize == 1
     message = rng.getrandbits(8 * 100).to_bytes(100, "big")
     print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
@@ -149,8 +159,7 @@ _HASH_CHILD = textwrap.dedent("""
 
 
 def _hash_child(mode):
-    result = subprocess.run([sys.executable, "-c", _HASH_CHILD, str(SRC.parent), mode],
-                            capture_output=True, text=True, timeout=60)
+    result = _child(_HASH_CHILD, str(SRC.parent), mode)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()
 
