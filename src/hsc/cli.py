@@ -18,8 +18,12 @@ most two k*P, which a process takes without it, so a broken table does
 not stop them and their output is unchanged.  Failures print one
 machine-readable line to stderr.
 
-Commands refuse to overwrite existing output files unless --force is
-given.  If the environment variable HSC_SEED is set (test builds only),
+Commands refuse to overwrite existing output files, a symlink included,
+unless --force is given; with it, an output is written to a temporary
+file in the same directory that then replaces the path, symlink or not.
+The master key, both key files, the partial key and unsigncrypt's
+plaintext are created with mode 0600, other outputs with 0666 less the
+umask.  If the environment variable HSC_SEED is set (test builds only),
 all randomness derives from that seed and every run is reproducible --
 never set it in real use.
 """
@@ -47,6 +51,11 @@ EXIT_USAGE = 2
 EXIT_CRYPTO = 3
 EXIT_IO = 4
 
+# the mode of the secret outputs: the master key, both key files, the
+# partial key and unsigncrypt's plaintext; every other output is made
+# with 0o666 less the umask
+_PRIVATE = 0o600
+
 
 def _rng():
     """The HSC_SEED generator, or None for Group.random_scalar's CSPRNG."""
@@ -70,13 +79,40 @@ def _refuse_existing(force: bool, *paths) -> None:
         if not Path(path).parent.is_dir():
             # the error writing the file would raise
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-        if not force and Path(path).exists():
+        # a symlink exists even when its target does not
+        if not force and os.path.lexists(path):
             raise FileExistsError(f"{path} exists; pass --force to overwrite")
 
 
-def _write(path: str, data: bytes, force: bool) -> None:
+def _create(path: str, data: bytes, mode: int) -> None:
+    """Write `data` to a new file at `path` made with `mode` less the
+    umask.  O_EXCL refuses any existing path, a symlink included, in the
+    step that creates the file; a failed write removes it."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    try:
+        with open(fd, "wb") as f:
+            f.write(data)
+    except BaseException:
+        os.unlink(path)
+        raise
+
+
+def _write(path: str, data: bytes, force: bool, mode: int = 0o666) -> None:
+    """Create `path` with `data`.  With `force` a temporary file in the
+    same directory takes the data first and then replaces `path`, so a
+    symlink there is replaced, not written through, and `path` never
+    holds part of `data`."""
     _refuse_existing(force, path)
-    Path(path).write_bytes(data)
+    if not force:
+        _create(path, data, mode)
+        return
+    temp = f"{path}.{os.getpid()}.tmp"
+    _create(temp, data, mode)
+    try:
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _load_params(path: str) -> keys.SystemParams:
@@ -103,7 +139,12 @@ def _cmd_setup(args) -> int:
     params, master = keys.setup(args.group, n=args.msg_bits, rng=_rng())
     _refuse_existing(args.force, args.params, args.out)
     _write(args.params, codec.encode_params(params), args.force)
-    _write(args.out, codec.encode_master(params, master), args.force)
+    try:
+        _write(args.out, codec.encode_master(params, master), args.force, _PRIVATE)
+    except BaseException:
+        # no params file is left without its master key
+        os.unlink(args.params)
+        raise
     print(f"params -> {args.params}")
     print(f"master key -> {args.out}")
     return EXIT_OK
@@ -112,7 +153,7 @@ def _cmd_setup(args) -> int:
 def _cmd_pki_keygen(args) -> int:
     params = _load_params(args.params)
     key = keys.pki_keygen(params, _rng())
-    _write(args.out, codec.encode_pki_keypair(params, key), args.force)
+    _write(args.out, codec.encode_pki_keypair(params, key), args.force, _PRIVATE)
     print(f"pki key pair -> {args.out}")
     return EXIT_OK
 
@@ -122,7 +163,8 @@ def _cmd_clc_extract(args) -> int:
     master = codec.decode_master(_read(args.key), params)
     identity = _identity(args.id)
     partial = keys.clc_extract_partial(params, master, identity, _rng())
-    _write(args.out, codec.encode_partial_key(params, identity, partial), args.force)
+    _write(args.out, codec.encode_partial_key(params, identity, partial), args.force,
+           _PRIVATE)
     print(f"partial key for {args.id!r} -> {args.out}")
     return EXIT_OK
 
@@ -135,7 +177,7 @@ def _cmd_clc_finalize(args) -> int:
             f"partial key was issued for {identity!r}, not {args.id!r}"
         )
     key = keys.clc_finalize_random(params, identity, partial, _rng())
-    _write(args.out, codec.encode_clc_keypair(params, key), args.force)
+    _write(args.out, codec.encode_clc_keypair(params, key), args.force, _PRIVATE)
     print(f"clc key pair for {identity!r} -> {args.out}")
     return EXIT_OK
 
@@ -173,7 +215,7 @@ def _cmd_unsigncrypt(args) -> int:
     receiver = codec.decode_keypair(_read(args.key), params, spec.receiver)
     peer = _load_peer(args, params, spec.sender)
     message = spec.unsigncrypt(params, receiver, peer, sigma)
-    _write(args.out, message, args.force)
+    _write(args.out, message, args.force, _PRIVATE)
     print(f"ACCEPT {len(message)} bytes -> {args.out}")
     return EXIT_OK
 

@@ -320,16 +320,8 @@ def encode_pki_keypair(params: SystemParams, key: PkiKeyPair) -> bytes:
     return _encode_fields(params, FileKind.PKI_KEY, key._asdict())
 
 
-def decode_pki_keypair(data: bytes, params: SystemParams) -> PkiKeyPair:
-    return decode_keypair(data, params, PkiKeyPair)
-
-
 def encode_clc_keypair(params: SystemParams, key: ClcKeyPair) -> bytes:
     return _encode_fields(params, FileKind.CLC_KEY, key._asdict())
-
-
-def decode_clc_keypair(data: bytes, params: SystemParams) -> ClcKeyPair:
-    return decode_keypair(data, params, ClcKeyPair)
 
 
 def decode_keypair(data: bytes, params: SystemParams, key_class: type):
@@ -355,17 +347,9 @@ def encode_pki_public(params: SystemParams, PK_p: GroupElement) -> bytes:
     return _encode_fields(params, FileKind.PKI_PUB, {"PK_p": PK_p})
 
 
-def decode_pki_public(data: bytes, params: SystemParams) -> GroupElement:
-    return decode_public(data, params, PkiKeyPair)
-
-
 def encode_clc_public(params: SystemParams, identity: bytes, pub: ClcPublicKey) -> bytes:
     fields = dict(pub._asdict(), identity=identity)
     return _encode_fields(params, FileKind.CLC_PUB, fields)
-
-
-def decode_clc_public(data: bytes, params: SystemParams) -> tuple[bytes, ClcPublicKey]:
-    return decode_public(data, params, ClcKeyPair)
 
 
 def encode_public(params: SystemParams, key) -> bytes:

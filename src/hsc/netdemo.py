@@ -22,6 +22,20 @@ contain no private key material.  Any out-of-order or undecodable frame
 aborts the session with a distinct outcome code.  The client, like the
 server, also turns I/O errors and timeouts into an outcome code.
 Each mode is an entry of :data:`hsc.signcryption.DIRECTIONS`.
+
+Each role's side of the protocol is a generator that does no I/O
+(`_serve_session`, `_client_session`).  It yields the Frame it sends
+next, or the FrameType it expects next and gets that frame back as the
+value of the `yield`; it sets the session's state and may end it by
+raising `_Abort` with an outcome code.  `_run_session` is the one driver
+and holds all of a session's I/O: it writes and reads the frames on a
+connected socket with `codec.write_frame` and `codec.read_frame`,
+records each one, and turns every failure into an outcome code.
+
+A ciphertext frame longer than the params allow is read in full, up to
+codec's 1 MiB frame cap, then answered with the failure status and ended
+as verify-failed; a frame whose length field exceeds the cap ends the
+session as frame-decode once its 5-byte header is read.
 """
 
 from __future__ import annotations
@@ -118,34 +132,6 @@ class DemoSession:
         )
 
 
-class _Peer:
-    """Framed send/receive over a connected socket, transcribing both."""
-
-    def __init__(self, sock: socket.socket, session: DemoSession) -> None:
-        self.rfile = sock.makefile("rb")
-        self.wfile = sock.makefile("wb")
-        self.session = session
-
-    def send(self, type_tag: FrameType, payload: bytes) -> None:
-        frame = Frame(type_tag=type_tag, payload=payload)
-        codec.write_frame(self.wfile, frame)
-        self.session.record(frame)
-
-    def expect(self, type_tag: FrameType) -> Frame:
-        frame = codec.read_frame(self.rfile)
-        if frame.type_tag != type_tag:
-            raise _Abort(OUT_OF_ORDER,
-                         f"expected 0x{type_tag:02x}, got 0x{frame.type_tag:02x}")
-        return self.session.record(frame)
-
-    def close(self) -> None:
-        for f in (self.rfile, self.wfile):
-            try:
-                f.close()
-            except OSError:
-                pass
-
-
 class _Abort(Exception):
     def __init__(self, code: str, detail: str = "") -> None:
         super().__init__(detail)
@@ -160,71 +146,89 @@ def _decode_peer_key(frame: Frame, params: SystemParams, key_class: type):
         raise _Abort(MALFORMED_PEER_KEY, str(exc)) from exc
 
 
-def _serve_session(peer: _Peer, session: DemoSession, params: SystemParams,
-                   key, spec: DirectionSpec) -> None:
+def _serve_session(session: DemoSession, params: SystemParams, key,
+                   spec: DirectionSpec):
     # 0x02: the client's public key
-    frame = peer.expect(FrameType.CLIENT_KEY)
+    frame = yield FrameType.CLIENT_KEY
     session.peer_key = _decode_peer_key(frame, params, spec.sender)
 
     # 0x03: our own public key
-    peer.send(FrameType.SERVER_KEY, codec.encode_public(params, key))
+    yield Frame(FrameType.SERVER_KEY, codec.encode_public(params, key))
     session.state = SessionState.KEYS_EXCHANGED
 
     # 0x04: the ciphertext; undecodable or unverifiable both end in a
     # failure status so the client learns the message did not get through
-    frame = peer.expect(FrameType.CIPHERTEXT)
+    frame = yield FrameType.CIPHERTEXT
     session.state = SessionState.CIPHERTEXT_RECEIVED
     try:
         sigma = codec.decode_ciphertext(frame.payload, params)
         plaintext = spec.unsigncrypt(params, key, session.peer_key, sigma)
     except (RejectedCiphertext, codec.CodecError, ValueError) as exc:
-        peer.send(FrameType.STATUS, STATUS_FAILED)
+        yield Frame(FrameType.STATUS, STATUS_FAILED)
         raise _Abort(VERIFY_FAILED, str(exc)) from exc
 
     session.plaintext = plaintext
-    peer.send(FrameType.STATUS, STATUS_SUCCESS)
+    yield Frame(FrameType.STATUS, STATUS_SUCCESS)
     session.state = SessionState.ACKED
 
     # 0x05: the client's closing reply
-    frame = peer.expect(FrameType.STATUS)
+    frame = yield FrameType.STATUS
     if frame.payload != STATUS_CLIENT_DONE:
         raise _Abort(BAD_STATUS, f"client replied {frame.payload!r}")
     session.state = SessionState.DONE
 
 
-def _client_session(peer: _Peer, session: DemoSession, params: SystemParams,
-                    key, spec: DirectionSpec, message: bytes, rng) -> None:
+def _client_session(session: DemoSession, params: SystemParams, key,
+                    spec: DirectionSpec, message: bytes, rng):
     # 0x02: our public key
-    peer.send(FrameType.CLIENT_KEY, codec.encode_public(params, key))
+    yield Frame(FrameType.CLIENT_KEY, codec.encode_public(params, key))
 
     # 0x03: the server's public key; reject malformed material before
     # any signcryption happens
-    frame = peer.expect(FrameType.SERVER_KEY)
+    frame = yield FrameType.SERVER_KEY
     session.peer_key = _decode_peer_key(frame, params, spec.receiver)
     session.state = SessionState.KEYS_EXCHANGED
 
     # 0x04: signcrypt and send
     sigma = spec.signcrypt(params, key, session.peer_key, message, rng)
-    peer.send(FrameType.CIPHERTEXT, codec.encode_ciphertext(sigma))
+    yield Frame(FrameType.CIPHERTEXT, codec.encode_ciphertext(sigma))
     session.state = SessionState.CIPHERTEXT_SENT
 
     # 0x05: the server's verdict
-    frame = peer.expect(FrameType.STATUS)
+    frame = yield FrameType.STATUS
     if frame.payload != STATUS_SUCCESS:
         raise _Abort(NEGATIVE_STATUS, f"server replied {frame.payload!r}")
     session.state = SessionState.ACKED
 
-    peer.send(FrameType.STATUS, STATUS_CLIENT_DONE)
+    yield Frame(FrameType.STATUS, STATUS_CLIENT_DONE)
     session.state = SessionState.DONE
 
 
 def _run_session(conn: socket.socket, role: Role, body, *args) -> DemoSession:
-    """Run `body(peer, session, *args)` over `conn`; each failure ends the
-    session with its outcome code instead of an exception."""
+    """Drive the generator `body(session, *args)` over `conn`; this is
+    all the I/O a session does.  A yielded Frame is written, a yielded
+    FrameType is read, and a frame read with another type ends the
+    session as out-of-order.  Each frame written or read is recorded and
+    sent back into the body.  Each failure ends the session with its
+    outcome code instead of an exception."""
     session = DemoSession(role=role)
-    peer = _Peer(conn, session)
+    steps = body(session, *args)
+    rfile, wfile = conn.makefile("rb"), conn.makefile("wb")
+    frame = None
     try:
-        body(peer, session, *args)
+        while True:
+            step = steps.send(frame)
+            if isinstance(step, Frame):
+                codec.write_frame(wfile, step)
+                frame = step
+            else:
+                frame = codec.read_frame(rfile)
+                if frame.type_tag != step:
+                    raise _Abort(OUT_OF_ORDER,
+                                 f"expected 0x{step:02x}, got 0x{frame.type_tag:02x}")
+            session.record(frame)
+    except StopIteration:
+        pass
     except _Abort as exc:
         session.abort(exc.code, exc.detail)
     except codec.EndOfStreamError as exc:
@@ -234,7 +238,11 @@ def _run_session(conn: socket.socket, role: Role, body, *args) -> DemoSession:
     except OSError as exc:
         session.abort(END_OF_STREAM, str(exc))
     finally:
-        peer.close()
+        for f in (rfile, wfile):
+            try:
+                f.close()
+            except OSError:
+                pass
     return session
 
 

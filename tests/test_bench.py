@@ -126,6 +126,28 @@ class TestRowFilter:
         assert timed_builds == []
         assert builds == [params.Ppub.value] * 3
 
+    def test_no_timed_call_builds_a_table(self, table_builds, monkeypatch):
+        # the keygen row makes a fresh Ppub in every call, which evicts
+        # the bench keys' tables; each algorithm row's untimed warm-up,
+        # not a timed call, must promote them again in every pass
+        params, _ = keys.setup("secp256k1", rng=random.Random(5))
+        builds = table_builds["_fixed_window_rows"]
+        timed_builds = []
+        time_loop = bench._time_loop
+
+        def spy(fn, inputs):
+            before = len(builds)
+            samples = time_loop(fn, inputs)
+            timed_builds.extend(builds[before:])
+            return samples
+
+        monkeypatch.setattr(bench, "_time_loop", spy)
+        monkeypatch.setattr(bench, "_child_s", lambda *args: 0.0)  # no child processes
+        report = bench_run(params, iterations=8, algo_iterations=2,
+                           rng=random.Random(6), repeat=2)
+        assert report.timing("cphs_unsigncrypt").iterations == 2
+        assert builds and timed_builds == []
+
     def test_pool_rows_miss_the_caches_at_few_iterations(self, table_builds, monkeypatch):
         # with fewer iterations than the 16 entries of the caches of
         # recent points and decodes, every timed call of the pool rows

@@ -320,6 +320,115 @@ class TestFileHygiene:
         assert "ERROR crypto" in result.stderr
 
 
+class TestPrivateAtomicOutputs:
+    """Secret outputs are made mode 0600 and public ones 0666 less the
+    umask; no output is written through a symlink, and --force replaces
+    the path through a temporary file.  Run in this process, under a
+    umask set for the test."""
+
+    @pytest.fixture(autouse=True)
+    def umask(self):
+        """Umask 022 for the test, which may change it; restored after."""
+        old = os.umask(0o022)
+        try:
+            yield
+        finally:
+            os.umask(old)
+
+    @staticmethod
+    def hsc(*args):
+        from hsc import cli
+        return cli.main(list(args))
+
+    @staticmethod
+    def mode(path):
+        return os.lstat(path).st_mode & 0o777
+
+    @pytest.fixture
+    def keydir(self, tmp_path, monkeypatch):
+        """A toy-101 setup and its PKI key in tmp_path, the working
+        directory of the test."""
+        monkeypatch.chdir(tmp_path)
+        assert self.hsc("setup", "--group", "toy-101", "--params", "p.hsc",
+                        "--out", "m.hsc") == 0
+        assert self.hsc("pki-keygen", "--params", "p.hsc", "--out", "a.hsc") == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("mask", [0o022, 0o027], ids=["umask022", "umask027"])
+    def test_secret_outputs_are_0600_and_public_ones_follow_the_umask(
+            self, tmp_path, monkeypatch, mask):
+        monkeypatch.chdir(tmp_path)
+        os.umask(mask)
+        (tmp_path / "msg.txt").write_bytes(b"modes")
+        for args in (
+                ["setup", "--group", "toy-101", "--params", "p.hsc", "--out", "m.hsc"],
+                ["pki-keygen", "--params", "p.hsc", "--out", "a.hsc"],
+                ["clc-extract", "--params", "p.hsc", "--key", "m.hsc", "--id", "bob",
+                 "--out", "part.hsc"],
+                ["clc-finalize", "--params", "p.hsc", "--key", "part.hsc",
+                 "--out", "b.hsc"],
+                ["export-pub", "--params", "p.hsc", "--key", "a.hsc", "--out", "a.pub"],
+                ["export-pub", "--params", "p.hsc", "--key", "b.hsc", "--out", "b.pub"],
+                ["signcrypt", "--mode", "pchs", "--params", "p.hsc", "--key", "a.hsc",
+                 "--peer", "b.pub", "--in", "msg.txt", "--out", "ct"],
+                ["unsigncrypt", "--mode", "pchs", "--params", "p.hsc", "--key", "b.hsc",
+                 "--peer", "a.pub", "--in", "ct", "--out", "pt"],
+                # through the temporary file of --force
+                ["pki-keygen", "--params", "p.hsc", "--out", "a.hsc", "--force"],
+                ["export-pub", "--params", "p.hsc", "--key", "a.hsc", "--out", "a.pub",
+                 "--force"]):
+            assert self.hsc(*args) == 0, args
+        public = 0o666 & ~mask
+        assert {name: self.mode(name) for name in sorted(os.listdir())} == {
+            "a.hsc": 0o600, "a.pub": public, "b.hsc": 0o600, "b.pub": public,
+            "ct": public, "m.hsc": 0o600, "msg.txt": 0o666 & ~mask, "p.hsc": public,
+            "part.hsc": 0o600, "pt": 0o600}
+
+    @pytest.mark.parametrize("command", [
+        ["pki-keygen", "--params", "p.hsc"],
+        ["setup", "--group", "toy-101", "--params", "p2.hsc"],
+    ], ids=["pki-keygen", "setup"])
+    def test_a_dangling_symlink_is_refused(self, keydir, capsys, command):
+        os.symlink("victim.bin", "link.hsc")
+        before = sorted(os.listdir())
+        assert self.hsc(*command, "--out", "link.hsc") == 4
+        assert capsys.readouterr().err == \
+            "ERROR io: link.hsc exists; pass --force to overwrite\n"
+        assert sorted(os.listdir()) == before
+        assert os.readlink("link.hsc") == "victim.bin"
+
+    def test_a_file_made_after_the_check_is_not_overwritten(self, keydir, monkeypatch,
+                                                            capsys):
+        from hsc import cli
+        # the refusal check passes, as when the file appears just after it
+        monkeypatch.setattr(cli, "_refuse_existing", lambda force, *paths: None)
+        (keydir / "late.hsc").write_bytes(b"keep")
+        assert self.hsc("pki-keygen", "--params", "p.hsc", "--out", "late.hsc") == 4
+        assert capsys.readouterr().err.startswith("ERROR io: [Errno 17] File exists")
+        assert (keydir / "late.hsc").read_bytes() == b"keep"
+
+    def test_force_replaces_a_symlink_and_leaves_its_target(self, keydir):
+        (keydir / "victim.bin").write_bytes(b"keep")
+        os.symlink("victim.bin", "link.hsc")
+        assert self.hsc("pki-keygen", "--params", "p.hsc", "--out", "link.hsc",
+                        "--force") == 0
+        assert (keydir / "victim.bin").read_bytes() == b"keep"
+        assert not os.path.islink("link.hsc") and self.mode("link.hsc") == 0o600
+        from hsc import codec
+        assert codec.file_kind((keydir / "link.hsc").read_bytes()) == codec.FileKind.PKI_KEY
+        assert sorted(os.listdir()) == ["a.hsc", "link.hsc", "m.hsc", "p.hsc", "victim.bin"]
+
+    def test_setup_removes_its_params_when_the_master_key_fails(self, tmp_path,
+                                                               monkeypatch, capsys):
+        # --force lets the refusal check pass; replacing a directory fails
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("m.hsc")
+        assert self.hsc("setup", "--group", "toy-101", "--params", "p.hsc",
+                        "--out", "m.hsc", "--force") == 4
+        assert capsys.readouterr().err.startswith("ERROR io: ")
+        assert os.listdir() == ["m.hsc"] and os.listdir("m.hsc") == []
+
+
 class TestBrokenInstall:
     """A missing or corrupt generator table is a broken install: a
     command that reads it prints one `ERROR io:` line, exits 4 and writes

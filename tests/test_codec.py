@@ -3,6 +3,7 @@
 
 import io
 import random
+import functools
 from types import SimpleNamespace
 
 import pytest
@@ -26,6 +27,7 @@ from hsc.group import (
     OffGroupError,
     ToyGroup,
 )
+from hsc.keys import ClcKeyPair, PkiKeyPair
 from hsc.signcryption import Ciphertext, Direction, pchs_signcrypt
 
 
@@ -218,12 +220,12 @@ class TestKeyFiles:
 
     def test_pki_keypair_roundtrip(self, prod):
         data = codec.encode_pki_keypair(prod.params, prod.alice)
-        back = codec.decode_pki_keypair(data, prod.params)
+        back = codec.decode_keypair(data, prod.params, PkiKeyPair)
         assert (back.x_p, back.PK_p) == (prod.alice.x_p, prod.alice.PK_p)
 
     def test_clc_keypair_roundtrip(self, prod):
         data = codec.encode_clc_keypair(prod.params, prod.bob)
-        back = codec.decode_clc_keypair(data, prod.params)
+        back = codec.decode_keypair(data, prod.params, ClcKeyPair)
         assert back == prod.bob
 
     def test_partial_key_roundtrip(self, prod, rng):
@@ -263,21 +265,21 @@ class TestZeroSecretScalars:
         key = toy101.pki._replace(x_p=toy101.scalar(0))
         data = codec.encode_pki_keypair(toy101.params, key)
         with pytest.raises(CodecError):
-            codec.decode_pki_keypair(data, toy101.params)
+            codec.decode_keypair(data, toy101.params, PkiKeyPair)
 
     @pytest.mark.parametrize("field", ["x_c", "d"])
     def test_zero_clc_scalar(self, toy101, field):
         key = toy101.clc._replace(**{field: toy101.scalar(0)})
         data = codec.encode_clc_keypair(toy101.params, key)
         with pytest.raises(CodecError):
-            codec.decode_clc_keypair(data, toy101.params)
+            codec.decode_keypair(data, toy101.params, ClcKeyPair)
 
     def test_x_c_equal_to_minus_d(self, toy101):
         key = toy101.clc._replace(x_c=-toy101.clc.d)
         assert int(key.x_c) == 101 - int(key.d)
         data = codec.encode_clc_keypair(toy101.params, key)
         with pytest.raises(CodecError):
-            codec.decode_clc_keypair(data, toy101.params)
+            codec.decode_keypair(data, toy101.params, ClcKeyPair)
 
     def test_zero_partial_d(self, toy101):
         partial = toy101.partial._replace(d=toy101.scalar(0))
@@ -289,11 +291,11 @@ class TestZeroSecretScalars:
 class TestPublicExports:
     def test_pki_public_roundtrip(self, prod):
         data = codec.encode_pki_public(prod.params, prod.alice.PK_p)
-        assert codec.decode_pki_public(data, prod.params) == prod.alice.PK_p
+        assert codec.decode_public(data, prod.params, PkiKeyPair) == prod.alice.PK_p
 
     def test_clc_public_roundtrip(self, prod):
         data = codec.encode_clc_public(prod.params, prod.identity, prod.bob.public)
-        identity, pub = codec.decode_clc_public(data, prod.params)
+        identity, pub = codec.decode_public(data, prod.params, ClcKeyPair)
         assert identity == prod.identity
         assert pub == prod.bob.public
 
@@ -307,7 +309,7 @@ class TestPublicExports:
         data = bytearray(codec.encode_pki_public(prod.params, prod.alice.PK_p))
         data[-33] = 0x07  # corrupt the element prefix
         with pytest.raises(OffGroupError):
-            codec.decode_pki_public(bytes(data), prod.params)
+            codec.decode_public(bytes(data), prod.params, PkiKeyPair)
 
 
 class TestFrames:
@@ -380,9 +382,12 @@ class TestFuzz:
     @settings(max_examples=200, deadline=None)
     @given(data=st.binary(max_size=64))
     def test_key_decoders_total(self, prod, data):
-        for decoder in (codec.decode_master, codec.decode_pki_keypair,
-                        codec.decode_clc_keypair, codec.decode_clc_public,
-                        codec.decode_pki_public, codec.decode_partial_key):
+        for decoder in (codec.decode_master,
+                        functools.partial(codec.decode_keypair, key_class=PkiKeyPair),
+                        functools.partial(codec.decode_keypair, key_class=ClcKeyPair),
+                        functools.partial(codec.decode_public, key_class=ClcKeyPair),
+                        functools.partial(codec.decode_public, key_class=PkiKeyPair),
+                        codec.decode_partial_key):
             try:
                 decoder(data, prod.params)
             except (CodecError, DecodeError):
@@ -411,19 +416,19 @@ def _valid_encodings(params, master, rng):
          lambda d: codec.decode_master(d, params),
          lambda x: codec.encode_master(params, x)),
         ("pki key", codec.encode_pki_keypair(params, pki),
-         lambda d: codec.decode_pki_keypair(d, params),
+         lambda d: codec.decode_keypair(d, params, PkiKeyPair),
          lambda x: codec.encode_pki_keypair(params, x)),
         ("clc key", codec.encode_clc_keypair(params, clc),
-         lambda d: codec.decode_clc_keypair(d, params),
+         lambda d: codec.decode_keypair(d, params, ClcKeyPair),
          lambda x: codec.encode_clc_keypair(params, x)),
         ("partial key", codec.encode_partial_key(params, b"fuzz-user", partial),
          lambda d: codec.decode_partial_key(d, params),
          lambda x: codec.encode_partial_key(params, *x)),
         ("pki public", codec.encode_pki_public(params, pki.PK_p),
-         lambda d: codec.decode_pki_public(d, params),
+         lambda d: codec.decode_public(d, params, PkiKeyPair),
          lambda x: codec.encode_pki_public(params, x)),
         ("clc public", codec.encode_clc_public(params, clc.identity, clc.public),
-         lambda d: codec.decode_clc_public(d, params),
+         lambda d: codec.decode_public(d, params, ClcKeyPair),
          lambda x: codec.encode_clc_public(params, *x)),
         ("ciphertext", codec.encode_ciphertext(sigma),
          lambda d: codec.decode_ciphertext(d, params), codec.encode_ciphertext),

@@ -1,6 +1,10 @@
 """Loopback sessions: the happy path in both directions, plus the abort
-paths (tampering, out-of-order frames, malformed keys)."""
+paths (tampering, out-of-order frames, malformed keys), the frames of an
+honest session pinned byte for byte, and one-bit mutants of an honest
+client's byte stream."""
 
+import collections
+import io
 import random
 import socket
 import threading
@@ -20,6 +24,8 @@ from hsc.netdemo import (
     STATUS_SUCCESS,
 )
 from hsc.signcryption import MessageSizeError, pchs_signcrypt
+
+from conftest import FixedRng
 
 
 def _run_session(params, server_key, client_key, message, mode, client_hook=None):
@@ -370,3 +376,162 @@ class TestMessageSizeGuard:
                                    mode=mode, port=server.port, timeout=0.5)
             with pytest.raises(socket.timeout):
                 server.serve_one()
+
+
+def _wire(*frames) -> bytes:
+    """The bytes of `frames` on the wire."""
+    stream = io.BytesIO()
+    for frame in frames:
+        codec.write_frame(stream, frame)
+    return stream.getvalue()
+
+
+# Known-answer frames of one honest secp256k1 session per mode.  The key
+# set and the client's nonce come from explicit scalars, drawn in order
+# from a scripted randrange, never from a seed: random.Random's stream is
+# not promised to stay the same across Python versions.  setup draws s,
+# pki_keygen x_p, and clc_keygen t, then x_c.
+_VECTOR_KEY_SCALARS = (
+    0x19AD6A0EA4D7EE381515C26B28AFB242D1053199599EA071A24E13EB318DBE2F,  # s
+    0xC54D48373DEE2530D2CEBFB01F4DB2A0869FD5E8E2D8C0E7A74262EF2D688EC9,  # x_p
+    0x6A2F3CFDCFC7448EF7D97837AFF44B4B9AFED7339AF203AFD9B2279C39B176CD,  # t
+    0x0E96F8D464EFA5AFBB8D857B0DDD573186B90D4FDFF65B578670028B5220768E,  # x_c
+)
+_VECTOR_IDENTITY = b"slice-device"
+_VECTOR_MESSAGE = b"frame vectors"
+_VECTOR_NONCES = {
+    "pchs": 0xDBF49088539AA6A4F7FE947E45776CCBEE1765F58755048A0D44F9FC2C23EDF7,
+    "cphs": 0x60CE1C00F51D4C07D4AD8848546CD16CA7BB022A0FCCDA7915E2E2D97837EBFA,
+}
+# each frame as it goes on the wire: type_tag || length || payload
+_VECTOR_FRAMES = {
+    "pchs": [
+        ("020000003148534331010509736563703235366b310381369af11d32a2aa5d040ba32766"
+         "7c526247817d54df5bdcc99dc465419f44a8"),
+        ("030000006248534331010609736563703235366b310000000c736c6963652d6465766963"
+         "65033815ff0122122c735a2bf48c0aba423adc501a620a708666648faa693e6d5ebc034b"
+         "b924c36bd0406df171e4bacbe4a5753cd321a53c63a39be1985b875667d8d5"),
+        ("040000004f015bcc50764110b67ceae6667be8d4cdce6ffc864379c15775478039dcd1b0"
+         "3e65037bbe9932e02644501756551446d43d9e32b1ac0a927048d1fd2d19200857d4bcff"
+         "c05e23584cae68be746fba42"),
+        "0500000015566572696669636174696f6e205375636365737321",
+        ("050000002354686520636c69656e74206861732072656365697665642074686520726573"
+         "756c742e"),
+    ],
+    "cphs": [
+        ("020000006248534331010609736563703235366b310000000c736c6963652d6465766963"
+         "65033815ff0122122c735a2bf48c0aba423adc501a620a708666648faa693e6d5ebc034b"
+         "b924c36bd0406df171e4bacbe4a5753cd321a53c63a39be1985b875667d8d5"),
+        ("030000003148534331010509736563703235366b310381369af11d32a2aa5d040ba32766"
+         "7c526247817d54df5bdcc99dc465419f44a8"),
+        ("040000004f021d5c8758b253893788890dea4848c77ed0cd8bc04362e005ecbc3a57b579"
+         "34dd022134ce72fd38a69e1fa465ab2ff1164128b023ccc72dea894fc0106f0ebb8e0fcd"
+         "10a6ae5367a71818c5b74b71"),
+        "0500000015566572696669636174696f6e205375636365737321",
+        ("050000002354686520636c69656e74206861732072656365697665642074686520726573"
+         "756c742e"),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def vector_keys():
+    """The vectors' params and their PKI and CLC key pairs, by class."""
+    rng = FixedRng(*_VECTOR_KEY_SCALARS)
+    params, master = keys.setup("secp256k1", rng=rng)
+    pki = keys.pki_keygen(params, rng)
+    clc = keys.clc_keygen(params, master, _VECTOR_IDENTITY, rng)
+    return params, {type(pki): pki, type(clc): clc}
+
+
+class TestFrameVectors:
+    @pytest.mark.parametrize("mode", sorted(_VECTOR_FRAMES))
+    def test_an_honest_session_sends_the_pinned_bytes(self, vector_keys, mode):
+        params, by_class = vector_keys
+        spec = netdemo.DIRECTIONS[mode]
+
+        def scripted_client(port):
+            return netdemo.run_client(params, by_class[spec.sender], _VECTOR_MESSAGE,
+                                      mode=mode, port=port, timeout=5.0,
+                                      rng=FixedRng(_VECTOR_NONCES[mode]))
+
+        server, client = _run_session(params, by_class[spec.receiver], None, None, mode,
+                                      client_hook=scripted_client)
+        assert server.outcome == client.outcome == netdemo.OK
+        assert server.plaintext == _VECTOR_MESSAGE
+        assert client.frames == server.frames
+        assert [_wire(f).hex() for f in server.frames] == _VECTOR_FRAMES[mode]
+
+
+def _serve_stream(server, data: bytes):
+    """Serve one session, in this thread, to a client that sends `data`
+    and shuts its write side: the listen backlog holds the connection
+    until serve_one accepts it, and the shut write side ends every read
+    that `data` leaves short."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as conn:
+        conn.sendall(data)
+        conn.shutdown(socket.SHUT_WR)
+        return server.serve_one()
+
+
+class TestHostileClient:
+    """Client byte streams that the server must survive, each served in
+    this thread by DemoServer.serve_one."""
+
+    MUTANTS = 200  # per mode
+    OUTCOMES = {netdemo.OK, netdemo.OUT_OF_ORDER, netdemo.FRAME_DECODE,
+                netdemo.END_OF_STREAM, netdemo.MALFORMED_PEER_KEY,
+                netdemo.VERIFY_FAILED, netdemo.NEGATIVE_STATUS, netdemo.BAD_STATUS}
+
+    @pytest.mark.parametrize("mode", sorted(netdemo.DIRECTIONS))
+    def test_every_one_bit_mutant_ends_in_a_defined_outcome(self, prod, mode):
+        """Seeded one-bit mutants of an honest client's whole stream: its
+        key, ciphertext and closing status frames."""
+        params = prod.params
+        spec = netdemo.DIRECTIONS[mode]
+        by_class = {type(prod.alice): prod.alice, type(prod.bob): prod.bob}
+        exports = {type(prod.alice): prod.alice.PK_p,
+                   type(prod.bob): (prod.identity, prod.bob.public)}
+        sender = by_class[spec.sender]
+        sigma = spec.signcrypt(params, sender, exports[spec.receiver], b"hostile",
+                               random.Random(f"sigma-{mode}"))
+        honest = _wire(
+            Frame(FrameType.CLIENT_KEY, codec.encode_public(params, sender)),
+            Frame(FrameType.CIPHERTEXT, codec.encode_ciphertext(sigma)),
+            Frame(FrameType.STATUS, STATUS_CLIENT_DONE))
+        secrets = [params.group.encode_scalar(x) for x in
+                   (prod.master.s, prod.alice.x_p, prod.bob.x_c, prod.bob.d)]
+        failed = Frame(FrameType.STATUS, STATUS_FAILED)
+
+        draw = random.Random(f"mutants-{mode}")
+        outcomes = collections.Counter()
+        with DemoServer(params, by_class[spec.receiver], mode=mode, port=0,
+                        timeout=5.0) as server:
+            for _ in range(self.MUTANTS):
+                mutant = bytearray(honest)
+                bit = draw.randrange(8 * len(honest))
+                mutant[bit // 8] ^= 1 << (bit % 8)
+                session = _serve_stream(server, mutant)
+                outcomes[session.outcome] += 1
+                assert session.outcome in self.OUTCOMES
+                assert (failed in session.frames) == (session.outcome == netdemo.VERIFY_FAILED)
+                assert not any(secret in f.payload
+                               for f in session.frames for secret in secrets)
+        # the mutants reach the key decode, unsigncryption and the
+        # closing-status check, not only the frame codec
+        assert {netdemo.MALFORMED_PEER_KEY, netdemo.VERIFY_FAILED,
+                netdemo.BAD_STATUS} <= set(outcomes)
+
+    def test_an_overlong_ciphertext_is_read_in_full_then_refused(self, prod, rng):
+        params = prod.params
+        sigma = pchs_signcrypt(params, prod.alice, prod.identity, prod.bob.public,
+                               b"overlong", rng)
+        # one byte more than the params let a ciphertext carry
+        payload = codec.encode_ciphertext(sigma) + bytes(params.max_message_bytes - 7)
+        with DemoServer(params, prod.bob, mode="pchs", port=0, timeout=5.0) as server:
+            session = _serve_stream(server, _wire(
+                Frame(FrameType.CLIENT_KEY, codec.encode_public(params, prod.alice)),
+                Frame(FrameType.CIPHERTEXT, payload)))
+        assert session.outcome == netdemo.VERIFY_FAILED
+        assert session.frames[2:] == [Frame(FrameType.CIPHERTEXT, payload),
+                                      Frame(FrameType.STATUS, STATUS_FAILED)]
