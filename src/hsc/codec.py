@@ -380,19 +380,17 @@ def write_frame(sink, frame: Frame) -> None:
 
 
 def _read_exact(source, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = source.read(remaining)
-        if not chunk:
-            raise EndOfStreamError(f"stream ended with {remaining} bytes outstanding")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    # a buffered binary stream returns fewer than n bytes only at its end
+    data = source.read(n)
+    if len(data) < n:
+        raise EndOfStreamError(f"stream ended with {n - len(data)} bytes outstanding")
+    return data
 
 
 def read_frame(source) -> Frame:
-    """Read one frame, blocking until it is complete or the stream ends."""
+    """Read one frame from `source`, a buffered binary stream (a
+    BufferedReader, a BufferedRWPair, a BytesIO), blocking until the frame
+    is complete or the stream ends."""
     header = _read_exact(source, 5)
     tag = header[0]
     if tag not in FrameType._value2member_map_:

@@ -26,11 +26,14 @@ Each mode is an entry of :data:`hsc.signcryption.DIRECTIONS`.
 Each role's side of the protocol is a generator that does no I/O
 (`_serve_session`, `_client_session`).  It yields the Frame it sends
 next, or the FrameType it expects next and gets that frame back as the
-value of the `yield`; it sets the session's state and may end it by
-raising `_Abort` with an outcome code.  `_run_session` is the one driver
-and holds all of a session's I/O: it writes and reads the frames on a
-connected socket with `codec.write_frame` and `codec.read_frame`,
-records each one, and turns every failure into an outcome code.
+value of the `yield`, and it sets the session's state.  Its return value
+is its result: nothing when the session succeeded, else the pair
+(outcome code, detail).  `_run_session` is the one driver and holds all
+of a session's I/O: it opens the connection as one buffered binary
+stream, writes and reads the frames on it with `codec.write_frame` and
+`codec.read_frame`, records each one, ends a frame of the wrong type as
+out-of-order, reads the body's result from `StopIteration.value`, and
+turns every I/O or framing failure into an outcome code.
 
 A ciphertext frame longer than the params allow is read in full, up to
 codec's 1 MiB frame cap, then answered with the failure status and ended
@@ -132,25 +135,14 @@ class DemoSession:
         )
 
 
-class _Abort(Exception):
-    def __init__(self, code: str, detail: str = "") -> None:
-        super().__init__(detail)
-        self.code = code
-        self.detail = detail
-
-
-def _decode_peer_key(frame: Frame, params: SystemParams, key_class: type):
-    try:
-        return codec.decode_public(frame.payload, params, key_class)
-    except (codec.CodecError, DecodeError) as exc:
-        raise _Abort(MALFORMED_PEER_KEY, str(exc)) from exc
-
-
 def _serve_session(session: DemoSession, params: SystemParams, key,
                    spec: DirectionSpec):
     # 0x02: the client's public key
     frame = yield FrameType.CLIENT_KEY
-    session.peer_key = _decode_peer_key(frame, params, spec.sender)
+    try:
+        session.peer_key = codec.decode_public(frame.payload, params, spec.sender)
+    except (codec.CodecError, DecodeError) as exc:
+        return MALFORMED_PEER_KEY, str(exc)
 
     # 0x03: our own public key
     yield Frame(FrameType.SERVER_KEY, codec.encode_public(params, key))
@@ -163,9 +155,9 @@ def _serve_session(session: DemoSession, params: SystemParams, key,
     try:
         sigma = codec.decode_ciphertext(frame.payload, params)
         plaintext = spec.unsigncrypt(params, key, session.peer_key, sigma)
-    except (RejectedCiphertext, codec.CodecError, ValueError) as exc:
+    except (RejectedCiphertext, ValueError) as exc:
         yield Frame(FrameType.STATUS, STATUS_FAILED)
-        raise _Abort(VERIFY_FAILED, str(exc)) from exc
+        return VERIFY_FAILED, str(exc)
 
     session.plaintext = plaintext
     yield Frame(FrameType.STATUS, STATUS_SUCCESS)
@@ -174,7 +166,7 @@ def _serve_session(session: DemoSession, params: SystemParams, key,
     # 0x05: the client's closing reply
     frame = yield FrameType.STATUS
     if frame.payload != STATUS_CLIENT_DONE:
-        raise _Abort(BAD_STATUS, f"client replied {frame.payload!r}")
+        return BAD_STATUS, f"client replied {frame.payload!r}"
     session.state = SessionState.DONE
 
 
@@ -186,7 +178,10 @@ def _client_session(session: DemoSession, params: SystemParams, key,
     # 0x03: the server's public key; reject malformed material before
     # any signcryption happens
     frame = yield FrameType.SERVER_KEY
-    session.peer_key = _decode_peer_key(frame, params, spec.receiver)
+    try:
+        session.peer_key = codec.decode_public(frame.payload, params, spec.receiver)
+    except (codec.CodecError, DecodeError) as exc:
+        return MALFORMED_PEER_KEY, str(exc)
     session.state = SessionState.KEYS_EXCHANGED
 
     # 0x04: signcrypt and send
@@ -197,7 +192,7 @@ def _client_session(session: DemoSession, params: SystemParams, key,
     # 0x05: the server's verdict
     frame = yield FrameType.STATUS
     if frame.payload != STATUS_SUCCESS:
-        raise _Abort(NEGATIVE_STATUS, f"server replied {frame.payload!r}")
+        return NEGATIVE_STATUS, f"server replied {frame.payload!r}"
     session.state = SessionState.ACKED
 
     yield Frame(FrameType.STATUS, STATUS_CLIENT_DONE)
@@ -206,43 +201,43 @@ def _client_session(session: DemoSession, params: SystemParams, key,
 
 def _run_session(conn: socket.socket, role: Role, body, *args) -> DemoSession:
     """Drive the generator `body(session, *args)` over `conn`; this is
-    all the I/O a session does.  A yielded Frame is written, a yielded
-    FrameType is read, and a frame read with another type ends the
-    session as out-of-order.  Each frame written or read is recorded and
-    sent back into the body.  Each failure ends the session with its
-    outcome code instead of an exception."""
+    all the I/O a session does.  `conn` is opened once, as one buffered
+    binary stream for both directions, and closed before this returns.
+    A yielded Frame is written, a yielded FrameType is read, and a frame
+    read with another type ends the session as out-of-order.  Each frame
+    written or read is recorded and sent back into the body.  The body's
+    return value, read from `StopIteration.value`, is its outcome; an I/O
+    or framing failure ends the session with its outcome code instead of
+    an exception."""
     session = DemoSession(role=role)
     steps = body(session, *args)
-    rfile, wfile = conn.makefile("rb"), conn.makefile("wb")
+    stream = conn.makefile("rwb")
     frame = None
     try:
         while True:
             step = steps.send(frame)
             if isinstance(step, Frame):
-                codec.write_frame(wfile, step)
+                codec.write_frame(stream, step)
                 frame = step
             else:
-                frame = codec.read_frame(rfile)
+                frame = codec.read_frame(stream)
                 if frame.type_tag != step:
-                    raise _Abort(OUT_OF_ORDER,
-                                 f"expected 0x{step:02x}, got 0x{frame.type_tag:02x}")
+                    session.abort(OUT_OF_ORDER,
+                                  f"expected 0x{step:02x}, got 0x{frame.type_tag:02x}")
+                    break
             session.record(frame)
-    except StopIteration:
-        pass
-    except _Abort as exc:
-        session.abort(exc.code, exc.detail)
-    except codec.EndOfStreamError as exc:
+    except StopIteration as stop:
+        if stop.value:
+            session.abort(*stop.value)
+    except (codec.EndOfStreamError, OSError) as exc:
         session.abort(END_OF_STREAM, str(exc))
     except codec.CodecError as exc:
         session.abort(FRAME_DECODE, str(exc))
-    except OSError as exc:
-        session.abort(END_OF_STREAM, str(exc))
     finally:
-        for f in (rfile, wfile):
-            try:
-                f.close()
-            except OSError:
-                pass
+        try:
+            stream.close()
+        except OSError:
+            pass
     return session
 
 
