@@ -26,6 +26,10 @@ The last line is one SHA-256 over all of them.  Run it against two
 checkouts and diff the outputs to find the commands whose behaviour
 changed.  A traceback on stderr names SRC, so a command that crashes
 digests differently under another SRC.
+
+`tests/cli_transcript.txt` holds this output for the checkout;
+`tests/test_cli.py` replays the same commands through `hsc.cli.main` in
+one process, digests them with `digest`, and compares the lines.
 """
 
 from __future__ import annotations
@@ -170,45 +174,57 @@ def _commands(group: str, d: Path):
     yield ["setup", "--group", "toy-12", "--params", "t12.hsc", "--out", "t12m.hsc"], SEED
 
 
-def _files(d: Path) -> dict[str, bytes]:
+def commands(workdir: Path):
+    """Yield (argv, seed, cwd) for every command in order: the help texts
+    in workdir/help, then each group's commands in workdir/<group>."""
+    help_dir = workdir / "help"
+    help_dir.mkdir()
+    yield ["--help"], SEED, help_dir
+    for sub in SUBCOMMANDS:
+        yield [sub, "--help"], SEED, help_dir
+    for group in GROUPS:
+        d = workdir / group
+        d.mkdir()
+        for argv, seed in _commands(group, d):
+            yield argv, seed, d
+
+
+def files(d: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(d.iterdir())}
+
+
+def digest(argv, returncode: int, stdout: bytes, stderr: bytes,
+           before: dict[str, bytes], after: dict[str, bytes]) -> str:
+    """The SHA-256 of one command: its argv, exit code, stdout, stderr and
+    the files it created or changed (`after` against `before`), so that a
+    difference shows at the command that made it and not at every later
+    one."""
+    written = [part for name, data in after.items()
+               if before.get(name) != data for part in (name.encode(), data)]
+    h = hashlib.sha256()
+    for part in (" ".join(argv).encode(), str(returncode).encode(),
+                 stdout, stderr, *written):
+        h.update(len(part).to_bytes(8, "big") + part)
+    return h.hexdigest()
+
+
+def line(index: int, argv, returncode: int, command_digest: str) -> str:
+    return f"{index:3d} {command_digest[:16]} exit={returncode} {' '.join(argv)}"
 
 
 def run(src: Path, workdir: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     total = hashlib.sha256()
-    index = 0
-
-    def record(argv, seed, cwd):
-        nonlocal index
-        before = _files(cwd)
+    for index, (argv, seed, cwd) in enumerate(commands(workdir)):
+        before = files(cwd)
         proc = subprocess.run([sys.executable, "-m", "hsc", *argv], cwd=cwd,
                               env=dict(env, HSC_SEED=seed), capture_output=True,
                               timeout=120)
-        # the files this command created or changed, so that a difference
-        # shows at the command that made it and not at every later one
-        written = [part for name, data in _files(cwd).items()
-                   if before.get(name) != data for part in (name.encode(), data)]
-        h = hashlib.sha256()
-        for part in (" ".join(argv).encode(), str(proc.returncode).encode(),
-                     proc.stdout, proc.stderr, *written):
-            h.update(len(part).to_bytes(8, "big") + part)
-        digest = h.hexdigest()
-        total.update(bytes.fromhex(digest))
-        print(f"{index:3d} {digest[:16]} exit={proc.returncode} {' '.join(argv)}")
-        index += 1
-
-    help_dir = workdir / "help"
-    help_dir.mkdir()
-    record(["--help"], SEED, help_dir)
-    for sub in SUBCOMMANDS:
-        record([sub, "--help"], SEED, help_dir)
-    for group in GROUPS:
-        d = workdir / group
-        d.mkdir()
-        for argv, seed in _commands(group, d):
-            record(argv, seed, d)
-    print(f"{index} commands, sha256 {total.hexdigest()}")
+        command_digest = digest(argv, proc.returncode, proc.stdout, proc.stderr,
+                                before, files(cwd))
+        total.update(bytes.fromhex(command_digest))
+        print(line(index, argv, proc.returncode, command_digest))
+    print(f"{index + 1} commands, sha256 {total.hexdigest()}")
 
 
 def main(argv: list[str]) -> int:

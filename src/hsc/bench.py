@@ -4,7 +4,8 @@ Times the primitive operations (scalar multiplication of pool points, of
 the fixed base P and of one point over and over, group addition,
 hash-to-scalar, a 1 KiB H3 keystream, element decoding of pool points
 and of one point over and over) and the four full algorithms plus aggregate key generation,
-each over fresh random inputs pre-generated outside the timed region; a
+each over fresh random inputs pre-generated outside the timed region; the
+algorithms take one run for each hundred of a primitive's (at least one).  A
 caller may time a subset of the primitives alone.  Before each pass each
 algorithm runs untimed on two inputs of its own, which promotes every
 key it multiplies on each call, so its row times the steady state of a
@@ -259,12 +260,11 @@ def _time_rows(rows, repeat: int, warm) -> tuple[list[OpTiming], list[float]]:
     return out, reference
 
 
-def bench_run(params: SystemParams, iterations: int = 10000, *,
-              algo_iterations: int | None = None, rng=None,
+def bench_run(params: SystemParams, iterations: int = 10000, *, rng=None,
               rows=None, repeat: int = 1) -> BenchReport:
     """Measure primitives over `iterations` runs and full algorithms over
-    `algo_iterations` runs (default iterations/100, at least 1), each
-    row in `repeat` interleaved passes.
+    iterations/100 runs (at least 1), each row in `repeat` interleaved
+    passes.
 
     `rows`, when given, names the primitive rows to time (`scalar_mult`,
     `scalar_mult_fixed`, `scalar_mult_repeat`, `group_add`,
@@ -274,14 +274,11 @@ def bench_run(params: SystemParams, iterations: int = 10000, *,
     `first_kp_process`); the other rows, the algorithm rows and the op
     counts are then skipped.  The two table rows and the three process
     rows take milliseconds per call, so like the algorithms they run
-    `algo_iterations` times.
+    iterations/100 times.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if algo_iterations is None:
-        algo_iterations = max(1, iterations // 100)
-    if algo_iterations < 1:
-        raise ValueError("algo_iterations must be >= 1")
+    algo_iterations = max(1, iterations // 100)
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
     rng = rng or _system_rng

@@ -30,7 +30,7 @@ import enum
 from typing import NamedTuple
 
 from .group import GroupElement, make_group
-from .hashing import DOMAIN_TAGS, XOF_NAME
+from .hashing import DOMAIN_TAGS, XOF_NAME, _length_prefixed
 from .keys import (
     ClcKeyPair,
     ClcPartialKey,
@@ -124,10 +124,6 @@ class _Reader:
             raise CodecError(f"{len(self.data) - self.pos} trailing bytes")
 
 
-def _prefixed(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
-
-
 def _header(kind: FileKind, group_name: str) -> bytes:
     name = group_name.encode("ascii")
     return MAGIC + bytes([FORMAT_VERSION, kind, len(name)]) + name
@@ -217,7 +213,7 @@ def encode_params(params: SystemParams) -> bytes:
         + g.descriptor.q.to_bytes(g.descriptor.scalar_len, "big")
         + g.encode_element(params.P)
         + g.encode_element(params.Ppub)
-        + b"".join(map(_prefixed, _ORACLE_FIELDS))
+        + b"".join(map(_length_prefixed, _ORACLE_FIELDS))
     )
 
 
@@ -285,7 +281,7 @@ def _encode_fields(params: SystemParams, kind: FileKind, fields: dict) -> bytes:
         elif field_type == ELEMENT:
             out += g.encode_element(value)
         else:
-            out += _prefixed(value)
+            out += _length_prefixed(value)
     return out
 
 
@@ -380,11 +376,15 @@ def write_frame(sink, frame: Frame) -> None:
 
 
 def _read_exact(source, n: int) -> bytes:
-    # a buffered binary stream returns fewer than n bytes only at its end
-    data = source.read(n)
+    # at most 64 KiB per read(): BufferedReader.read(n) reserves n bytes up
+    # front, so a header that claims the cap would otherwise make a peer
+    # that sends a few bytes cost a 1 MiB buffer; an empty read is the end
+    data = bytearray()
+    while len(data) < n and (chunk := source.read(min(n - len(data), 1 << 16))):
+        data += chunk
     if len(data) < n:
         raise EndOfStreamError(f"stream ended with {n - len(data)} bytes outstanding")
-    return data
+    return bytes(data)
 
 
 def read_frame(source) -> Frame:

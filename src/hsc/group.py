@@ -397,32 +397,14 @@ class Group:
         return GroupElement(self, self._decode_value(data))
 
     # -- subclass surface ------------------------------------------------------
-    # is_identity_value, _add_value and _neg_value take the values elements
-    # hold; _mul_value and _encode_value take canonical ones
+    # A subclass defines _generator_value() and _identity_value(),
+    # _add_value(xv, yv) and _neg_value(xv), which take the values elements
+    # hold, _mul_value(k, xv) and _encode_value(xv), which take canonical
+    # ones, and _decode_value(data); it may override _normalize_value and
+    # is_identity_value
 
     def _normalize_value(self, xv):
         return xv
-
-    def _generator_value(self):
-        raise NotImplementedError
-
-    def _identity_value(self):
-        raise NotImplementedError
-
-    def _add_value(self, xv, yv):
-        raise NotImplementedError
-
-    def _neg_value(self, xv):
-        raise NotImplementedError
-
-    def _mul_value(self, k: int, xv):
-        raise NotImplementedError
-
-    def _encode_value(self, xv) -> bytes:
-        raise NotImplementedError
-
-    def _decode_value(self, data: bytes):
-        raise NotImplementedError
 
 
 def _is_prime(n: int) -> bool:

@@ -19,7 +19,6 @@ scheme divides by (x_c + d) and keys are long-lived.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple, Union
 
 from .group import Group, GroupElement, Scalar, make_group
@@ -46,10 +45,8 @@ class SystemParams:
     not fields.  The params file still holds them, as fixed bytes that
     :mod:`hsc.codec` writes and checks on decode.
 
-    `oracles`, built on first use, is the one place the algorithms get
-    H1-H3 from; assigning an object with the same h1/h2/h3 methods
-    replaces all three.  The property caches it in the instance's
-    ``__dict__``, which is why this is a plain class:
+    `oracles` is the one place the algorithms get H1-H3 from; assigning
+    an object with the same h1/h2/h3 methods replaces all three, and
     ``copy.copy(params)`` gives params whose oracles can be replaced
     without touching the original's.  ``==`` is identity; two params
     are the same when :func:`hsc.codec.encode_params` gives the same
@@ -60,10 +57,7 @@ class SystemParams:
         self.P = P
         self.Ppub = Ppub
         self.n = n
-
-    @cached_property
-    def oracles(self) -> HashOracles:
-        return HashOracles(self.group)
+        self.oracles = HashOracles(group)
 
     @property
     def max_message_bytes(self) -> int:

@@ -122,11 +122,10 @@ class DemoSession:
         self.frames.append(frame)
         return frame
 
-    def abort(self, code: str, detail: str = "") -> "DemoSession":
+    def abort(self, code: str, detail: str = "") -> None:
         self.state = SessionState.ABORTED
         self.outcome = code
         logger.warning("%s session aborted [%s] %s", self.role.value, code, detail)
-        return self
 
     def format_transcript(self) -> str:
         return "\n".join(

@@ -242,8 +242,7 @@ def test_c5_op_count_conformance(prod):
     assert (c.scalar_mults, c.hash_calls) == (4, 2)
 
     # the bench harness must measure the same numbers
-    report = bench_run(params, iterations=4, algo_iterations=1,
-                       rng=random.Random(0x55))
+    report = bench_run(params, iterations=4, rng=random.Random(0x55))
     expected = {
         "key_generation": (4, 1),
         "pchs_signcrypt": (4, 2),
@@ -324,8 +323,7 @@ def test_c7_end_to_end_demo(prod):
 
 
 def test_c8_bench_sanity(prod):
-    report = bench_run(prod.params, iterations=10_000, algo_iterations=1,
-                       rng=random.Random(0x08),
+    report = bench_run(prod.params, iterations=10_000, rng=random.Random(0x08),
                        rows=("scalar_mult", "hash_to_scalar"))
     mult = report.timing("scalar_mult")
     hash_op = report.timing("hash_to_scalar")

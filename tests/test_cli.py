@@ -1,8 +1,12 @@
 """CLI end-to-end through subprocesses: lifecycle, exit codes, file
-hygiene, and seeded reproducibility."""
+hygiene, and seeded reproducibility; and the commands of
+scripts/cli_transcript.py replayed in process against its recorded
+output."""
 
 import argparse
+import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -699,16 +703,60 @@ class TestServeClientCommands:
         assert "received message: b'the quick brown fox'" in out
 
 
+# the output of scripts/cli_transcript.py, recorded under 3.11 and the
+# same under 3.10 and 3.12; 3.13 words two help texts differently
+TRANSCRIPT = Path(__file__).with_name("cli_transcript.txt")
+TRANSCRIPT_SHA256 = "63db787cdd5fbbe34d8b28631fb105834a3af5fa8a9ecf4efe0598a9de4592a7"
+TRANSCRIPT_VERSIONS = ((3, 10), (3, 11), (3, 12))
+
+
+def _transcript_script():
+    path = SRC.parent / "scripts" / "cli_transcript.py"
+    spec = importlib.util.spec_from_file_location("cli_transcript", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 class TestTranscriptScript:
     def test_digests_every_subcommand_of_the_parser(self):
         # scripts/cli_transcript.py digests the help text of each name in
         # its SUBCOMMANDS; a subcommand missing there would drop out of
         # the digests unseen
         from hsc import cli
-        path = SRC.parent / "scripts" / "cli_transcript.py"
-        spec = importlib.util.spec_from_file_location("cli_transcript", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+        script = _transcript_script()
         subparsers, = [action for action in cli.build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction)]
         assert sorted(script.SUBCOMMANDS) == sorted(subparsers.choices)
+
+    @pytest.mark.skipif(sys.version_info[:2] not in TRANSCRIPT_VERSIONS,
+                        reason="no transcript recorded for this Python minor version")
+    def test_in_process_replay_gives_the_recorded_transcript(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # the script's commands through cli.main in this process, each
+        # digested as the script digests its child process
+        from hsc import cli
+        script = _transcript_script()
+        recorded = TRANSCRIPT.read_text().splitlines()
+        assert recorded[-1].endswith(f" commands, sha256 {TRANSCRIPT_SHA256}")
+        monkeypatch.setenv("COLUMNS", "80")  # argparse's help width, as in a pipe
+        total = hashlib.sha256()
+        lines = []
+        for index, (argv, seed, cwd) in enumerate(script.commands(tmp_path)):
+            monkeypatch.chdir(cwd)
+            monkeypatch.setenv("HSC_SEED", seed)
+            before = script.files(cwd)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            digest = script.digest(argv, code, out.encode(), err.encode(),
+                                   before, script.files(cwd))
+            total.update(bytes.fromhex(digest))
+            lines.append(script.line(index, argv, code, digest))
+        lines.append(f"{len(lines)} commands, sha256 {total.hexdigest()}")
+        differing = [(got, want) for got, want in itertools.zip_longest(lines, recorded)
+                     if got != want]
+        assert not differing, \
+            f"first differing command: {differing[0][0]!r}, recorded as {differing[0][1]!r}"

@@ -4,6 +4,7 @@
 import io
 import random
 import functools
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -358,6 +359,25 @@ class TestFrames:
             codec.read_frame(io.BytesIO(b"\x05\x00"))
         with pytest.raises(EndOfStreamError):
             codec.read_frame(io.BytesIO(b""))
+
+    def test_a_header_does_not_reserve_the_length_it_claims(self):
+        # a peer that sends a header claiming the cap, 10 bytes and a close
+        # must cost the reader about what it sent, not a 1 MiB buffer
+        header = bytes([FrameType.CIPHERTEXT]) + MAX_FRAME_PAYLOAD.to_bytes(4, "big")
+        stream = io.BufferedReader(io.BytesIO(header + b"\xaa" * 10))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EndOfStreamError, match=(
+                    f"stream ended with {MAX_FRAME_PAYLOAD - 10} bytes outstanding")):
+                codec.read_frame(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < MAX_FRAME_PAYLOAD // 8
+        # a whole frame at the cap still reads from the same kind of stream
+        payload = bytes(range(256)) * (MAX_FRAME_PAYLOAD // 256)
+        back = codec.read_frame(io.BufferedReader(io.BytesIO(header + payload)))
+        assert (back.type_tag, back.payload) == (FrameType.CIPHERTEXT, payload)
 
 
 class TestFuzz:
